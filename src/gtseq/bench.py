@@ -20,10 +20,17 @@ import numpy as np
 from .config import ExperimentConfig, GridPoint
 from .errors import ConfigError
 from .estimators import (
+    FAMILY,
+    TWO_COMPONENTS,
     EstimatorId,
+    evaluate,
+    evaluate_table,
+    scan_properness,
+)
+# Not called here since `evaluate` dispatches; perfbench/spans.py traces these names.
+from .estimators import (  # noqa: F401
     mle_one,
     mle_two,
-    scan_properness,
     unbiased_one,
     unbiased_one_misclass,
     unbiased_two,
@@ -117,7 +124,7 @@ def render_records(records, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Estimator resolution and tables
+# Estimator resolution and parameters
 # ---------------------------------------------------------------------------
 
 
@@ -136,25 +143,22 @@ def _resolve_estimators(point: GridPoint, names: tuple[str, ...]) -> list[Estima
             out.append(EstimatorId.MLE_ONE if point.family == "one" else EstimatorId.MLE_TWO)
         else:
             est = EstimatorId(name)
-            one_family = est in (
-                EstimatorId.UB_ONE_PERFECT, EstimatorId.UB_ONE_MISCLASS, EstimatorId.MLE_ONE
-            )
-            if one_family != (point.family == "one"):
+            if FAMILY[est] != point.family:
                 raise ConfigError(f"estimator {name} does not match family '{point.family}'")
             out.append(est)
     return out
 
 
-def _ub_one_perfect_table(max_y: int, c: int, k: int) -> np.ndarray:
-    factors = 1.0 - 1.0 / (k * (c + np.arange(max(max_y, 0))))
-    q_hat = np.concatenate(([1.0], np.cumprod(factors)))
-    return 1.0 - q_hat
+def _params(point: GridPoint, config: ExperimentConfig) -> dict:
+    """The keyword parameters `evaluate` and `scan_properness` take at a grid point."""
+    if point.family == "one":
+        specificity, sensitivity = point.misclass or (1.0, 1.0)
+        return dict(specificity=specificity, sensitivity=sensitivity)
+    return dict(misclass=point.misclass_model(), order=config.order)
 
 
-def _ub_one_misclass_table(max_y: int, c: int, k: int, spec_: float, sens: float) -> np.ndarray:
-    return np.array(
-        [float(unbiased_one_misclass(y, c, k, spec_, sens)) for y in range(max_y + 1)]
-    )
+def _components(point: GridPoint) -> tuple[str, ...]:
+    return ("p",) if point.family == "one" else TWO_COMPONENTS
 
 
 def _summary(values: np.ndarray, truth: float) -> tuple[float, float, float, float]:
@@ -189,181 +193,87 @@ def _flags(**counts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _bench_point_one(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
-    model = point.one_disease_model()
-    theta = float(observed_pos_prob(model))
-    seed_seq = np.random.SeedSequence(config.seed, spawn_key=(point.index,))
-    counts = simulate_imn_counts(point.c, (theta,), config.replicates, seed_seq)[:, 0]
-    records = []
-    truth = point.p[0]
-    if config.replicates == 0:
-        return records
-    for est in _resolve_estimators(point, config.estimators):
-        max_y = int(counts.max())
-        clamped = improper = 0
-        if est is EstimatorId.UB_ONE_PERFECT:
-            values = _ub_one_perfect_table(max_y, point.c, point.k)[counts]
-        elif est is EstimatorId.UB_ONE_MISCLASS:
-            spec_, sens = point.misclass
-            table = _ub_one_misclass_table(max_y, point.c, point.k, spec_, sens)
-            values = table[counts]
-            improper = int(((values < 0) | (values > 1)).sum())
-        else:
-            spec_, sens = point.misclass if point.misclass else (1.0, 1.0)
-            pairs = [mle_one(y, point.c, point.k, spec_, sens) for y in range(max_y + 1)]
-            table = np.array([p.p_hat for p in pairs])
-            clamp_table = np.array([p.clamped for p in pairs])
-            values = table[counts]
-            clamped = int(clamp_table[counts].sum())
-        mean, bias, mse, se = _summary(values, truth)
-        records.append(
-            _base_record(
-                point, est.value, "p",
-                replicates=config.replicates, estimate=mean, bias=bias, mse=mse, se=se,
-                flags=_flags(clamped=clamped, improper=improper),
-            )
-        )
-    return records
-
-
-def _two_component_tables(max_z: int, c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(total -> leading estimate, (offset, count) -> cross product table)."""
-    factors = 1.0 - 1.0 / (k * (c + np.arange(max_z)))
-    p00 = np.concatenate(([1.0], np.cumprod(factors)))
-    offs = np.arange(max_z + 1)[:, None]
-    j = np.arange(max_z)[None, :]
-    cross_factors = 1.0 - 1.0 / (k * (c + offs + j))
-    cross = np.ones((max_z + 1, max_z + 1))
-    np.cumprod(cross_factors, axis=1, out=cross[:, 1:])
-    return p00, cross
-
-
-def _bench_point_two(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
-    model = point.two_disease_model()
-    if model.misclass is None:
-        cells = tuple(float(v) for v in pool_cell_probs(model))
+def _simulate_counts(point: GridPoint, config: ExperimentConfig) -> np.ndarray:
+    """Terminal counts of the grid point's walks, one replicate per row."""
+    if point.family == "one":
+        step_probs: tuple[float, ...] = (float(observed_pos_prob(point.one_disease_model())),)
     else:
-        cells = tuple(float(v) for v in observed_cell_probs(model))
-    step_probs = cells[:3]
+        model = point.two_disease_model()
+        probs = pool_cell_probs(model) if model.misclass is None else observed_cell_probs(model)
+        step_probs = tuple(float(v) for v in probs[:3])
     seed_seq = np.random.SeedSequence(config.seed, spawn_key=(point.index,))
-    counts = simulate_imn_counts(point.c, step_probs, config.replicates, seed_seq)
-    truths = [float(v) for v in model.prevalences()]
-    component_names = ("p00", "p10", "p01", "p11")
-    records = []
+    return simulate_imn_counts(point.c, step_probs, config.replicates, seed_seq)
+
+
+def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
+    counts = _simulate_counts(point, config)
     if config.replicates == 0:
-        return records
+        return []
+    if point.family == "one":
+        truths: tuple[float, ...] = (point.p[0],)
+        max_total = int(counts.max())
+        # A dense table over 0..max_y indexed by the counts is cheaper than np.unique.
+        samples, inverse = np.arange(max_total + 1)[:, None], counts[:, 0]
+    else:
+        truths = tuple(float(v) for v in point.two_disease_model().prevalences())
+        max_total = int(counts.sum(axis=1).max())
+        # One int64 key per sample, ordered as (z10, z01, z11) lexicographically.
+        base = int(counts.max()) + 1
+        key = (counts[:, 0] * base + counts[:, 1]) * base + counts[:, 2]
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        samples = counts[first]
+    params = _params(point, config)
+    records = []
     for est in _resolve_estimators(point, config.estimators):
-        z10, z01, z11 = counts[:, 0], counts[:, 1], counts[:, 2]
-        totals = counts.sum(axis=1)
-        max_z = int(totals.max())
-        clamped = improper = 0
-        if est is EstimatorId.UB_TWO_PERFECT:
-            p00_table, cross = _two_component_tables(max_z, point.c, point.k)
-            v00 = p00_table[totals]
-            v10 = cross[z10, z01 + z11] - v00
-            v01 = cross[z01, z10 + z11] - v00
-            v11 = 1.0 - v00 - v10 - v01
-            value_arrays = [v00, v10, v01, v11]
-            improper = int(sum(((v < 0) | (v > 1)).sum() for v in value_arrays))
-        elif est is EstimatorId.UB_TWO_MISCLASS_SERIES:
-            if max_z > config.order:
-                for name in component_names:
-                    records.append(
-                        _base_record(
-                            point, est.value, name, replicates=config.replicates,
-                            flags=f"error=order-exceeded({max_z}>{config.order})",
-                        )
-                    )
-                continue
-            cache: dict[tuple[int, int, int], tuple[float, ...]] = {}
-            for z in map(tuple, np.unique(counts, axis=0)):
-                cache[z] = tuple(
-                    float(v)
-                    for v in unbiased_two_misclass(
-                        z, point.c, point.k, model.misclass, order=config.order
-                    )
+        if est is EstimatorId.UB_TWO_MISCLASS_SERIES and max_total > config.order:
+            records.extend(
+                _base_record(
+                    point, est.value, name, replicates=config.replicates,
+                    flags=f"error=order-exceeded({max_total}>{config.order})",
                 )
-            stacked = np.array([cache[tuple(z)] for z in counts])
-            value_arrays = [stacked[:, i] for i in range(4)]
-            improper = int(sum(((v < 0) | (v > 1)).sum() for v in value_arrays))
-        else:  # MLE_TWO
-            results = {}
-            for z in map(tuple, np.unique(counts, axis=0)):
-                results[z] = mle_two(z, point.c, point.k)
-            stacked = np.array([results[tuple(z)].p for z in counts])
-            clamp_arr = np.array([results[tuple(z)].clamped for z in counts])
-            value_arrays = [stacked[:, i] for i in range(4)]
-            clamped = int(clamp_arr.sum())
-        for name, truth, values in zip(component_names, truths, value_arrays):
-            mean, bias, mse, se = _summary(np.asarray(values, dtype=float), truth)
+                for name in TWO_COMPONENTS
+            )
+            continue
+        table, clamp_table = evaluate_table(est, samples, point.c, point.k, **params)
+        values = table[inverse]
+        flags = _flags(
+            clamped=int(clamp_table[inverse].sum()),
+            improper=int(((values < 0) | (values > 1)).sum()),
+        )
+        for i, (name, truth) in enumerate(zip(_components(point), truths)):
+            mean, bias, mse, se = _summary(values[:, i], truth)
             records.append(
                 _base_record(
                     point, est.value, name,
                     replicates=config.replicates, estimate=mean, bias=bias, mse=mse, se=se,
-                    flags=_flags(clamped=clamped, improper=improper),
+                    flags=flags,
                 )
             )
     return records
 
 
 def _estimate_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
+    params = _params(point, config)
     records = []
     for est in _resolve_estimators(point, config.estimators):
         for sample in config.samples:
             label = ":".join(str(v) for v in sample)
-            if point.family == "one":
-                y = sample[0]
-                if est is EstimatorId.UB_ONE_PERFECT:
-                    value, clamped = float(unbiased_one(y, point.c, point.k)), False
-                elif est is EstimatorId.UB_ONE_MISCLASS:
-                    spec_, sens = point.misclass
-                    value = float(unbiased_one_misclass(y, point.c, point.k, spec_, sens))
-                    clamped = False
-                else:
-                    spec_, sens = point.misclass if point.misclass else (1.0, 1.0)
-                    value, clamped = mle_one(y, point.c, point.k, spec_, sens)
+            values, clamped = evaluate(est, sample, point.c, point.k, **params)
+            for name, value in zip(_components(point), values):
+                value = float(value)
                 flags = _flags(improper=int(not 0 <= value <= 1), clamped=int(clamped))
                 records.append(
-                    _base_record(point, est.value, "p", sample=label, estimate=value, flags=flags)
+                    _base_record(point, est.value, name, sample=label, estimate=value, flags=flags)
                 )
-            else:
-                misclass = point.misclass_model()
-                if est is EstimatorId.UB_TWO_PERFECT:
-                    values = [float(v) for v in unbiased_two(sample, point.c, point.k)]
-                    clamped = False
-                elif est is EstimatorId.UB_TWO_MISCLASS_SERIES:
-                    values = [
-                        float(v)
-                        for v in unbiased_two_misclass(
-                            sample, point.c, point.k, misclass, order=config.order
-                        )
-                    ]
-                    clamped = False
-                else:
-                    result = mle_two(sample, point.c, point.k)
-                    values, clamped = list(result.p), result.clamped
-                for name, value in zip(("p00", "p10", "p01", "p11"), values):
-                    flags = _flags(improper=int(not 0 <= value <= 1), clamped=int(clamped))
-                    records.append(
-                        _base_record(
-                            point, est.value, name, sample=label, estimate=value, flags=flags
-                        )
-                    )
     return records
 
 
 def _scan_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
     records = []
     for est in _resolve_estimators(point, config.estimators):
-        kwargs = {}
-        if point.family == "one" and point.misclass is not None:
-            kwargs["specificity"], kwargs["sensitivity"] = point.misclass
-        if point.family == "two":
-            kwargs["misclass"] = point.misclass_model()
-            kwargs["order"] = config.order
         violations = scan_properness(
             est, point.c, point.k,
-            bound=config.bound, max_violations=config.max_violations, **kwargs,
+            bound=config.bound, max_violations=config.max_violations, **_params(point, config),
         )
         for v in violations:
             records.append(
@@ -403,15 +313,7 @@ def _verify_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRe
 
 
 def _simulate_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
-    if point.family == "one":
-        model = point.one_disease_model()
-        step_probs: tuple[float, ...] = (float(observed_pos_prob(model)),)
-    else:
-        model = point.two_disease_model()
-        probs = pool_cell_probs(model) if model.misclass is None else observed_cell_probs(model)
-        step_probs = tuple(float(v) for v in probs[:3])
-    seed_seq = np.random.SeedSequence(config.seed, spawn_key=(point.index,))
-    counts = simulate_imn_counts(point.c, step_probs, config.replicates, seed_seq)
+    counts = _simulate_counts(point, config)
     records = []
     for index, row in enumerate(counts):
         records.append(
@@ -445,6 +347,7 @@ def run_identify(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
 
 
 _POINT_RUNNERS = {
+    "bench": _bench_point,
     "estimate": _estimate_point,
     "scan-properness": _scan_point,
     "verify-unbiased": _verify_point,
@@ -456,10 +359,7 @@ def run_mode(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
     """Dispatch a validated config; returns (records, all-checks-passed)."""
     if config.mode == "identify":
         return run_identify(config)
-    if config.mode == "bench":
-        runner = _bench_point_one if config.family == "one" else _bench_point_two
-    else:
-        runner = _POINT_RUNNERS[config.mode]
+    runner = _POINT_RUNNERS[config.mode]
     points = config.grid_points()
     threads = config.threads or 1
     if threads > 1:

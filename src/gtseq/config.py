@@ -145,13 +145,17 @@ def _parse_float(value: str, lineno: int, key: str) -> float:
         raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from None
 
 
-def _parse_tuple(value: str, lineno: int, key: str, arity: int) -> tuple[float, ...]:
+def _parse_tuple(value: str, lineno: int, key: str, arity: int, parse=_parse_float) -> tuple:
     parts = value.split(":")
     if len(parts) != arity:
         raise ConfigError(
             f"{key} items must be {arity} colon-separated numbers, got {value!r}", lineno
         )
-    return tuple(_parse_float(p, lineno, key) for p in parts)
+    return tuple(parse(p, lineno, key) for p in parts)
+
+
+def _parse_count(value: str, lineno: int, key: str) -> int:
+    return _parse_int(value, lineno, key, minimum=0)
 
 
 _RUN_KEYS = {
@@ -293,13 +297,10 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
     if (raw := get("model", sample_key)) is not None:
         value, lineno = raw
         if family == "one":
-            cfg["samples"] = tuple(
-                (_parse_int(v, lineno, "y", minimum=0),) for v in _split_list(value)
-            )
+            cfg["samples"] = tuple((_parse_count(v, lineno, "y"),) for v in _split_list(value))
         else:
             cfg["samples"] = tuple(
-                tuple(int(w) for w in _parse_tuple(v, lineno, "z", 3))
-                for v in _split_list(value)
+                _parse_tuple(v, lineno, "z", 3, _parse_count) for v in _split_list(value)
             )
     other_sample = "z" if family == "one" else "y"
     if get("model", other_sample) is not None:

@@ -1,5 +1,9 @@
 """Closed-form unbiased estimators, MLE baselines, and the properness scanner.
 
+:func:`evaluate` is the single dispatch over :class:`EstimatorId`: every
+mode (bench, estimate, scan, verify) evaluates an estimator through it, or
+through :func:`evaluate_table`, its float batch form over many samples.
+
 The closed forms are implemented in their algebraically cancelled shape:
 the leading factor of each product equals the reciprocal of its prefactor,
 so the cancelled products below are defined everywhere (including the
@@ -18,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .errors import IdentifiabilityError, InsufficientOrderError
 from .model import MisclassModel, invert_cell_probs
 from .numerics import Number, Scale, as_fraction
@@ -31,6 +37,17 @@ class EstimatorId(enum.Enum):
     UB_TWO_MISCLASS_SERIES = "UB_TWO_MISCLASS_SERIES"
     MLE_ONE = "MLE_ONE"
     MLE_TWO = "MLE_TWO"
+
+
+FAMILY = {
+    EstimatorId.UB_ONE_PERFECT: "one",
+    EstimatorId.UB_ONE_MISCLASS: "one",
+    EstimatorId.MLE_ONE: "one",
+    EstimatorId.UB_TWO_PERFECT: "two",
+    EstimatorId.UB_TWO_MISCLASS_SERIES: "two",
+    EstimatorId.MLE_TWO: "two",
+}
+TWO_COMPONENTS = ("p00", "p10", "p01", "p11")
 
 
 class ViolationKind(enum.Enum):
@@ -59,6 +76,33 @@ class PropernessViolation:
 
 
 # ---------------------------------------------------------------------------
+# Pool-factor products
+# ---------------------------------------------------------------------------
+
+
+def _descending_pool_product(k: int, c: int, offset: int, count: int) -> Fraction:
+    """prod_{j=0}^{count-1} (1 - 1/(k(c + offset + j))), exact; empty product is 1."""
+    out = Fraction(1)
+    for j in range(count):
+        out *= 1 - Fraction(1, k * (c + offset + j))
+    return out
+
+
+def pool_factor_table(k: int, c: int, offset_max: int, count_max: int) -> np.ndarray:
+    """T[a, m] = prod_{j<m} (1 - 1/(k(c + a + j))) in floats, for 0 <= a <= offset_max.
+
+    Row 0 is the one-trait (and p00) product: 1 - T[0, y] is the float form
+    of :func:`unbiased_one`.
+    """
+    a = np.arange(offset_max + 1)[:, None]
+    j = np.arange(count_max)[None, :]
+    factors = 1.0 - 1.0 / (k * (c + a + j))
+    table = np.ones((offset_max + 1, count_max + 1))
+    np.cumprod(factors, axis=1, out=table[:, 1:])
+    return table
+
+
+# ---------------------------------------------------------------------------
 # One disease
 # ---------------------------------------------------------------------------
 
@@ -71,10 +115,7 @@ def unbiased_one(y: int, c: int, k: int) -> Fraction:
     """
     if y < 0 or c < 1 or k < 1:
         raise ValueError("require y >= 0, c >= 1, k >= 1")
-    q_hat = Fraction(1)
-    for i in range(y):
-        q_hat *= 1 - Fraction(1, k * (c + i))
-    return 1 - q_hat
+    return 1 - _descending_pool_product(k, c, 0, y)
 
 
 def _misclass_sum(y: int, c: int, k: int, sensitivity: Fraction) -> Fraction:
@@ -159,14 +200,6 @@ def mle_one(
 # ---------------------------------------------------------------------------
 
 
-def _descending_pool_product(k: int, c: int, offset: int, count: int) -> Fraction:
-    """prod_{j=0}^{count-1} (1 - 1/(k(c + offset + j))), exact; empty product is 1."""
-    out = Fraction(1)
-    for j in range(count):
-        out *= 1 - Fraction(1, k * (c + offset + j))
-    return out
-
-
 def unbiased_two(
     z: tuple[int, int, int], c: int, k: int
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -248,6 +281,75 @@ def mle_two(z: tuple[int, int, int], c: int, k: int) -> MleTwoResult:
 
 
 # ---------------------------------------------------------------------------
+# Evaluation: the one dispatch over EstimatorId
+# ---------------------------------------------------------------------------
+
+
+def evaluate(
+    estimator: EstimatorId,
+    x: tuple[int, ...],
+    c: int,
+    k: int,
+    *,
+    specificity: Number = 1,
+    sensitivity: Number = 1,
+    misclass: MisclassModel | None = None,
+    order: int = 64,
+) -> tuple[tuple[Number, ...], bool]:
+    """(values, clamped) of `estimator` at sample point x.
+
+    x is (y,) for one trait and (z10, z01, z11) for two.  values is (p,) or
+    (p00, p10, p01, p11), as exact as the estimator returns them; clamped is
+    True only where an MLE baseline had to clamp.  The misclassification
+    parameters are read by the estimators that take them and ignored by the
+    others.
+    """
+    if estimator is EstimatorId.UB_ONE_PERFECT:
+        return (unbiased_one(x[0], c, k),), False
+    if estimator is EstimatorId.UB_ONE_MISCLASS:
+        return (unbiased_one_misclass(x[0], c, k, specificity, sensitivity),), False
+    if estimator is EstimatorId.MLE_ONE:
+        p_hat, clamped = mle_one(x[0], c, k, specificity, sensitivity)
+        return (p_hat,), clamped
+    if estimator is EstimatorId.UB_TWO_PERFECT:
+        return unbiased_two(x, c, k), False
+    if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
+        return unbiased_two_misclass(x, c, k, misclass, order), False
+    if estimator is EstimatorId.MLE_TWO:
+        return mle_two(x, c, k)
+    raise ValueError(f"unknown estimator {estimator}")
+
+
+def evaluate_table(
+    estimator: EstimatorId, samples: np.ndarray, c: int, k: int, **params
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float values (one row per sample, one column per component) and clamp flags.
+
+    `samples` is an integer array with one sample point per row.  The two
+    perfect-test closed forms are read off :func:`pool_factor_table`; every
+    other estimator goes through :func:`evaluate`, once per row.
+    """
+    samples = np.asarray(samples, dtype=np.int64)
+    n = len(samples)
+    if estimator is EstimatorId.UB_ONE_PERFECT:
+        y = samples[:, 0]
+        q_hat = pool_factor_table(k, c, 0, int(y.max(initial=0)))[0]
+        return (1.0 - q_hat[y])[:, None], np.zeros(n, dtype=bool)
+    if estimator is EstimatorId.UB_TWO_PERFECT:
+        z10, z01, z11 = samples.T
+        totals = z10 + z01 + z11
+        max_z = int(totals.max(initial=0))
+        table = pool_factor_table(k, c, max_z, max_z)
+        v00 = table[0, totals]
+        v10 = table[z10, z01 + z11] - v00
+        v01 = table[z01, z10 + z11] - v00
+        return np.column_stack((v00, v10, v01, 1.0 - v00 - v10 - v01)), np.zeros(n, dtype=bool)
+    results = [evaluate(estimator, tuple(x), c, k, **params) for x in samples.tolist()]
+    values = np.array([[float(v) for v in vals] for vals, _ in results]).reshape(n, -1)
+    return values, np.array([clamped for _, clamped in results], dtype=bool)
+
+
+# ---------------------------------------------------------------------------
 # Properness scanner
 # ---------------------------------------------------------------------------
 
@@ -275,6 +377,22 @@ def _one_disease_violation(
     return None
 
 
+def _simplex_violations(
+    z: tuple[int, int, int], values: tuple[Number, ...]
+) -> list[PropernessViolation]:
+    """Bound and simplex-sum violations of a two-disease estimate, compared as given."""
+    out = []
+    for name, value in zip(TWO_COMPONENTS, values):
+        if value < 0:
+            out.append(PropernessViolation(z, name, float(value), ViolationKind.BELOW_ZERO))
+        elif value > 1:
+            out.append(PropernessViolation(z, name, float(value), ViolationKind.ABOVE_ONE))
+    lead = values[0] + values[1] + values[2]
+    if lead > 1:
+        out.append(PropernessViolation(z, "p00+p10+p01", float(lead), ViolationKind.SIMPLEX_SUM))
+    return out
+
+
 def _iter_simplex_counts(bound: int):
     """All (z10, z01, z11) with total <= bound in lexicographic order."""
     for z10 in range(bound + 1):
@@ -298,76 +416,44 @@ def scan_properness(
     """Enumerate sample points with total count <= bound and record violations.
 
     Enumeration is lexicographic, so reports are reproducible.  Bound checks
-    are exact (rational comparisons, with radicals compared via k-th powers)
-    for all estimators except UB_TWO_MISCLASS_SERIES, whose mixed-radical
-    sums are compared in floating point.  `max_violations` stops the scan
-    early once that many violations are recorded, which keeps scans of
-    divergent estimators affordable.
+    are exact whenever the estimate is rational: one-trait radicals are
+    compared via k-th powers, and two-trait values are compared as
+    :func:`evaluate` returns them.  Floating point is used only where an
+    irrational radical survives (UB_TWO_MISCLASS_SERIES under a genuine
+    misclassification model).  `max_violations` stops the scan early once
+    that many violations are recorded, which keeps scans of divergent
+    estimators affordable.
 
     MLE baselines are proper by construction and always yield an empty list.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     violations: list[PropernessViolation] = []
-
-    def full() -> bool:
-        return max_violations is not None and len(violations) >= max_violations
-
     if estimator in (EstimatorId.MLE_ONE, EstimatorId.MLE_TWO):
         return violations
 
-    if estimator in (EstimatorId.UB_ONE_PERFECT, EstimatorId.UB_ONE_MISCLASS):
-        spec_ = as_fraction(specificity) if estimator is EstimatorId.UB_ONE_MISCLASS else Fraction(1)
-        sens = as_fraction(sensitivity) if estimator is EstimatorId.UB_ONE_MISCLASS else Fraction(1)
-        for y in range(bound + 1):
+    if FAMILY[estimator] == "one":
+        misclassified = estimator is EstimatorId.UB_ONE_MISCLASS
+        spec_ = as_fraction(specificity) if misclassified else Fraction(1)
+        sens = as_fraction(sensitivity) if misclassified else Fraction(1)
+        points = range(bound + 1)
+
+        def check(y):
             hit = _one_disease_violation(y, c, k, spec_, sens)
-            if hit is not None:
-                violations.append(hit)
-                if full():
-                    break
-        return violations
+            return [] if hit is None else [hit]
+    else:
+        order = max(bound if order is None else order, bound)
+        points = _iter_simplex_counts(bound)
 
-    if estimator is EstimatorId.UB_TWO_PERFECT:
-        for z in _iter_simplex_counts(bound):
-            est = unbiased_two(z, c, k)
-            for name, value in zip(("p00", "p10", "p01", "p11"), est):
-                if value < 0:
-                    violations.append(
-                        PropernessViolation(z, name, float(value), ViolationKind.BELOW_ZERO)
-                    )
-                elif value > 1:
-                    violations.append(
-                        PropernessViolation(z, name, float(value), ViolationKind.ABOVE_ONE)
-                    )
-            lead = est[0] + est[1] + est[2]
-            if lead > 1:
-                violations.append(
-                    PropernessViolation(z, "p00+p10+p01", float(lead), ViolationKind.SIMPLEX_SUM)
-                )
-            if full():
-                break
-        return violations
+        def check(z):
+            values, _ = evaluate(estimator, z, c, k, misclass=misclass, order=order)
+            return _simplex_violations(z, values)
 
-    if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
-        n = order if order is not None else bound
-        for z in _iter_simplex_counts(bound):
-            est = unbiased_two_misclass(z, c, k, misclass, order=max(n, bound))
-            values = [float(v) for v in est]
-            for name, value in zip(("p00", "p10", "p01", "p11"), values):
-                if value < 0:
-                    violations.append(PropernessViolation(z, name, value, ViolationKind.BELOW_ZERO))
-                elif value > 1:
-                    violations.append(PropernessViolation(z, name, value, ViolationKind.ABOVE_ONE))
-            lead = values[0] + values[1] + values[2]
-            if lead > 1:
-                violations.append(
-                    PropernessViolation(z, "p00+p10+p01", lead, ViolationKind.SIMPLEX_SUM)
-                )
-            if full():
-                break
-        return violations
-
-    raise ValueError(f"unknown estimator {estimator}")
+    for x in points:
+        violations.extend(check(x))
+        if max_violations is not None and len(violations) >= max_violations:
+            break
+    return violations
 
 
 def simplex_excess_at_one_one_zero(c: int, k: int) -> Fraction:
@@ -396,22 +482,11 @@ def estimator_callable(
     `component` picks one of p00/p10/p01/p11 for the two-disease estimators
     (or "p" / None for one disease).
     """
-    comp_index = {"p00": 0, "p10": 1, "p01": 2, "p11": 3}
-
-    if estimator is EstimatorId.UB_ONE_PERFECT:
-        return lambda x: float(unbiased_one(x[0], c, k))
-    if estimator is EstimatorId.UB_ONE_MISCLASS:
-        return lambda x: float(unbiased_one_misclass(x[0], c, k, specificity, sensitivity))
-    if estimator is EstimatorId.MLE_ONE:
-        return lambda x: mle_one(x[0], c, k, specificity, sensitivity).p_hat
-
-    if component not in comp_index:
-        raise ValueError(f"two-disease estimators need component in {sorted(comp_index)}")
-    idx = comp_index[component]
-    if estimator is EstimatorId.UB_TWO_PERFECT:
-        return lambda x: float(unbiased_two(x, c, k)[idx])
-    if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
-        return lambda x: float(unbiased_two_misclass(x, c, k, misclass, order)[idx])
-    if estimator is EstimatorId.MLE_TWO:
-        return lambda x: mle_two(x, c, k).p[idx]
-    raise ValueError(f"unknown estimator {estimator}")
+    if FAMILY[estimator] == "one":
+        idx = 0
+    elif component in TWO_COMPONENTS:
+        idx = TWO_COMPONENTS.index(component)
+    else:
+        raise ValueError(f"two-disease estimators need component in {sorted(TWO_COMPONENTS)}")
+    params = dict(specificity=specificity, sensitivity=sensitivity, misclass=misclass, order=order)
+    return lambda x: float(evaluate(estimator, x, c, k, **params)[0][idx])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorId, estimator_callable, unbiased_one_misclass
+from .estimators import EstimatorId, estimator_callable, pool_factor_table, unbiased_one_misclass
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
 from .plans import negbin_tail, truncated_expectation
 
@@ -141,16 +141,6 @@ def verify_one(
     )
 
 
-def _pool_factor_table(k: int, c: int, offset_max: int, count_max: int) -> np.ndarray:
-    """T[a, m] = prod_{j<m} (1 - 1/(k(c + a + j))) for 0 <= a <= offset_max."""
-    a = np.arange(offset_max + 1)[:, None]
-    j = np.arange(count_max)[None, :]
-    factors = 1.0 - 1.0 / (k * (c + a + j))
-    table = np.ones((offset_max + 1, count_max + 1))
-    np.cumprod(factors, axis=1, out=table[:, 1:])
-    return table
-
-
 def _neg_multinomial_2d_logpmf(c: int, mu0: float, pa: float, pb: float, n: int) -> np.ndarray:
     """log P(A=a, B=b) for the two-class collapse of an IMN model, on a (n+1)^2 grid."""
     lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, c + 2 * n + 1)))))
@@ -193,8 +183,8 @@ def verify_two(
 
     # Leading component: depends on the total only, NB(c, mu0) sum.
     totals = np.arange(n + 1)
-    factors = 1.0 - 1.0 / (k * (c + np.arange(n)))
-    p00_table = np.concatenate(([1.0], np.cumprod(factors)))
+    table = pool_factor_table(k, c, n, n)
+    p00_table = table[0]
     log_nb = (
         np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, c + n + 1)))))[c + totals - 1]
         - math.lgamma(c)
@@ -211,7 +201,6 @@ def verify_two(
     def cross_expectation(own_prob: float, rest_prob: float) -> float:
         logp = _neg_multinomial_2d_logpmf(c, mu0, own_prob, rest_prob, n)
         pmf2 = np.where(tri, np.exp(logp), 0.0)
-        table = _pool_factor_table(k, c, n, n)
         own = np.arange(n + 1)[:, None]
         rest = np.arange(n + 1)[None, :]
         est = table[own, rest] - p00_table[np.minimum(own + rest, n)]

@@ -93,9 +93,10 @@ class TestBench:
         b, _ = run_mode(parse_config(BENCH_CFG))
         assert render_records(a, "csv") == render_records(b, "csv")
 
-    def test_thread_count_does_not_change_output(self):
-        base = parse_config(BENCH_CFG)
-        threaded = parse_config(BENCH_CFG)
+    @pytest.mark.parametrize("text", [BENCH_CFG, TWO_CFG], ids=["one", "two"])
+    def test_thread_count_does_not_change_output(self, text):
+        base = parse_config(text)
+        threaded = parse_config(text)
         threaded.threads = 4
         a, _ = run_mode(base)
         b, _ = run_mode(threaded)
@@ -140,6 +141,15 @@ class TestOtherModes:
         ]
         assert [r.sample for r in ub_perfect] == ["0", "1", "3"]
         assert ub_perfect[0].estimate == 0.0
+
+    def test_misclass_estimator_on_perfect_test_reduces_to_perfect(self):
+        text = BENCH_CFG.replace("mode = bench", "mode = estimate").replace(
+            "misclass = 1:1, 0.98:0.95", "estimators = UB_ONE_MISCLASS, UB_ONE_PERFECT"
+        ) + "y = 0, 1, 3\n"
+        records, ok = run_mode(parse_config(text))
+        misclass = [r.estimate for r in records if r.estimator == "UB_ONE_MISCLASS"]
+        perfect = [r.estimate for r in records if r.estimator == "UB_ONE_PERFECT"]
+        assert ok and len(perfect) == 6 and misclass == perfect
 
     def test_scan_mode_reports_misclass_violation(self):
         text = """\
@@ -261,6 +271,18 @@ misclass = 0.98:0.95
         assert main(["bench", "--config", cfg, "--out", str(out1), "--seed", "123"]) == 0
         assert main(["bench", "--config", cfg, "--out", str(out2), "--seed", "124"]) == 0
         assert out1.read_text() != out2.read_text()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--seed", "-5"], "--seed must be >= 0, got -5"),
+         (["--threads", "0"], "--threads must be >= 1, got 0")],
+    )
+    def test_override_below_config_minimum_is_validation_error(
+        self, tmp_path, capsys, flags, message
+    ):
+        cfg = write_cfg(tmp_path, BENCH_CFG)
+        assert main(["bench", "--config", cfg, *flags]) == 1
+        assert capsys.readouterr().err == f"gtseq: config error: {message}\n"
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, BENCH_CFG)

@@ -17,6 +17,11 @@ c = 5
 """
 
 
+def two_estimate(z: str) -> str:
+    return ("[run]\nmode = estimate\nseed = 1\n[model]\nfamily = two\n"
+            f"p = 0.1:0.1:0.05\nk = 2\nc = 1\nz = {z}\n")
+
+
 class TestParsing:
     def test_minimal_config_gets_documented_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -62,6 +67,11 @@ misclass = identity, 0.98:0.95:0.97:0.9
         cfg = parse_config(text)
         assert cfg.p_grid == ((0.1, 0.1, 0.05), (0.02, 0.02, 0.01))
         assert cfg.misclass_grid == (None, (0.98, 0.95, 0.97, 0.9))
+
+    def test_z_samples_are_integer_counts(self):
+        samples = parse_config(two_estimate("0:1:2, 3:0:0")).samples
+        assert samples == ((0, 1, 2), (3, 0, 0))
+        assert all(type(v) is int for z in samples for v in z)
 
     def test_default_two_disease_grid_exists(self):
         assert len(DEFAULT_TWO_P_GRID) == 3
@@ -151,3 +161,11 @@ class TestValidationErrors:
         text = MINIMAL + "estimators = ub, bogus\n"
         with pytest.raises(ConfigError, match=r"line 9.*bogus"):
             parse_config(text)
+
+    def test_fractional_z_count_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 9: z must be an integer, got '1.5'"):
+            parse_config(two_estimate("1.5:0:0"))
+
+    def test_negative_z_count_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 9: z must be >= 0, got -1"):
+            parse_config(two_estimate("0:0:0, -1:0:0"))

@@ -3,15 +3,21 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtseq.errors import IdentifiabilityError, InsufficientOrderError
 from gtseq.estimators import (
+    FAMILY,
+    TWO_COMPONENTS,
     EstimatorId,
     ViolationKind,
+    _iter_simplex_counts,
     estimator_callable,
+    evaluate,
+    evaluate_table,
     mle_one,
     mle_two,
     scan_properness,
@@ -290,11 +296,48 @@ class TestScanProperness:
         assert scan_properness(EstimatorId.MLE_TWO, 1, 2, bound=5) == []
 
     def test_series_estimator_scan_identity_matches_closed_form(self):
+        # Whole violations, values included: the series estimate is rational
+        # here, so its simplex sum must be compared (and reported) exactly.
         got = scan_properness(
             EstimatorId.UB_TWO_MISCLASS_SERIES, 1, 2,
-            misclass=MisclassModel.identity(), bound=2, order=4,
+            misclass=MisclassModel.identity(), bound=6, order=4,
         )
-        want = scan_properness(EstimatorId.UB_TWO_PERFECT, 1, 2, bound=2)
-        assert [(v.sample, v.component, v.kind) for v in got] == [
-            (v.sample, v.component, v.kind) for v in want
-        ]
+        want = scan_properness(EstimatorId.UB_TWO_PERFECT, 1, 2, bound=6)
+        assert len(want) == 48
+        assert got == want
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("k, c", [(1, 1), (1, 4), (2, 1), (5, 3)])
+    def test_one_trait_table_matches_exact(self, k, c):
+        samples = np.arange(201)[:, None]
+        values, clamped = evaluate_table(EstimatorId.UB_ONE_PERFECT, samples, c, k)
+        assert values.shape == (201, 1) and not clamped.any()
+        for (y,), value in zip(samples.tolist(), values[:, 0]):
+            exact = float(evaluate(EstimatorId.UB_ONE_PERFECT, (y,), c, k)[0][0])
+            assert value == pytest.approx(exact, rel=0, abs=1e-13), y
+
+    @pytest.mark.parametrize("k, c", [(1, 1), (2, 1), (3, 4)])
+    def test_two_trait_table_matches_exact(self, k, c):
+        samples = np.array(list(_iter_simplex_counts(30)))
+        values, clamped = evaluate_table(EstimatorId.UB_TWO_PERFECT, samples, c, k)
+        assert values.shape == (len(samples), 4) and not clamped.any()
+        for z, row in zip(map(tuple, samples.tolist()), values):
+            exact, _ = evaluate(EstimatorId.UB_TWO_PERFECT, z, c, k)
+            assert row.tolist() == pytest.approx([float(v) for v in exact], rel=0, abs=1e-13), z
+
+    def test_other_estimators_go_through_evaluate(self):
+        samples = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 9]])
+        values, clamped = evaluate_table(EstimatorId.MLE_TWO, samples, 1, 3)
+        for z, row, flag in zip(map(tuple, samples.tolist()), values, clamped):
+            result = mle_two(z, 1, 3)
+            assert tuple(row) == result.p and flag == result.clamped
+        assert clamped.any()
+
+    def test_family_and_components(self):
+        assert {FAMILY[e] for e in EstimatorId} == {"one", "two"}
+        assert TWO_COMPONENTS == ("p00", "p10", "p01", "p11")
+        assert len(evaluate(EstimatorId.MLE_ONE, (3,), 1, 2)[0]) == 1
+        for est in EstimatorId:
+            if FAMILY[est] == "two":
+                assert len(evaluate(est, (1, 1, 0), 1, 2)[0]) == 4
