@@ -154,7 +154,7 @@ def _params(point: GridPoint, config: ExperimentConfig) -> dict:
     if point.family == "one":
         specificity, sensitivity = point.misclass or (1.0, 1.0)
         return dict(specificity=specificity, sensitivity=sensitivity)
-    return dict(misclass=point.misclass_model(), order=config.order)
+    return dict(misclass=point.misclass_model())
 
 
 def _components(point: GridPoint) -> tuple[str, ...]:
@@ -211,12 +211,10 @@ def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRec
         return []
     if point.family == "one":
         truths: tuple[float, ...] = (point.p[0],)
-        max_total = int(counts.max())
         # A dense table over 0..max_y indexed by the counts is cheaper than np.unique.
-        samples, inverse = np.arange(max_total + 1)[:, None], counts[:, 0]
+        samples, inverse = np.arange(int(counts.max()) + 1)[:, None], counts[:, 0]
     else:
         truths = tuple(float(v) for v in point.two_disease_model().prevalences())
-        max_total = int(counts.sum(axis=1).max())
         # One int64 key per sample, ordered as (z10, z01, z11) lexicographically.
         base = int(counts.max()) + 1
         key = (counts[:, 0] * base + counts[:, 1]) * base + counts[:, 2]
@@ -225,15 +223,6 @@ def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRec
     params = _params(point, config)
     records = []
     for est in _resolve_estimators(point, config.estimators):
-        if est is EstimatorId.UB_TWO_MISCLASS_SERIES and max_total > config.order:
-            records.extend(
-                _base_record(
-                    point, est.value, name, replicates=config.replicates,
-                    flags=f"error=order-exceeded({max_total}>{config.order})",
-                )
-                for name in TWO_COMPONENTS
-            )
-            continue
         table, clamp_table = evaluate_table(est, samples, point.c, point.k, **params)
         values = table[inverse]
         flags = _flags(

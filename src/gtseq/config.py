@@ -34,7 +34,6 @@ DEFAULT_MISCLASS_ONE = ((1.0, 1.0), (0.98, 0.95))
 DEFAULT_TWO_P_GRID = tuple((p, p, p / 2) for p in DEFAULT_P_GRID)
 
 DEFAULT_REPLICATES = 100_000
-DEFAULT_ORDER = 64
 DEFAULT_SCAN_BOUND = 100
 
 
@@ -74,7 +73,6 @@ class ExperimentConfig:
     misclass_grid: tuple = (None,)
     estimators: tuple[str, ...] = ("ub", "mle")
     replicates: int = DEFAULT_REPLICATES
-    order: int = DEFAULT_ORDER
     out: str | None = None
     format: str = "csv"
     threads: int | None = None
@@ -159,7 +157,7 @@ def _parse_count(value: str, lineno: int, key: str) -> int:
 
 
 _RUN_KEYS = {
-    "mode", "seed", "replicates", "order", "format", "out", "threads",
+    "mode", "seed", "replicates", "format", "out", "threads",
     "tol", "bound", "max_violations",
 }
 _MODEL_KEYS = {"family", "p", "k", "c", "misclass", "estimators", "y", "z"}
@@ -219,8 +217,6 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
 
     if (raw := get("run", "replicates")) is not None:
         cfg["replicates"] = _parse_int(raw[0], raw[1], "replicates", minimum=0)
-    if (raw := get("run", "order")) is not None:
-        cfg["order"] = _parse_int(raw[0], raw[1], "order", minimum=0)
     if (raw := get("run", "format")) is not None:
         if raw[0] not in FORMATS:
             raise ConfigError(f"format must be csv or jsonl, got {raw[0]!r}", raw[1])

@@ -9,14 +9,17 @@ the leading factor of each product equals the reciprocal of its prefactor,
 so the cancelled products below are defined everywhere (including the
 removable 0/0 at k = 1, c = 1) and evaluate exactly over rationals.
 
-Every closed form here is cross-checked in the test suite against the
-series constructor in :mod:`gtseq.series`, which derives the same
-estimators independently from Taylor coefficients.
+The misclassified estimators need one Taylor coefficient per sample point,
+which :func:`_series_coefficient` evaluates directly in integer arithmetic.
+The truncated-series constructor in :mod:`gtseq.series` is the paper's
+construction, not used at run time: it is the independent oracle that the
+test suite checks every estimator here against.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,10 +27,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import IdentifiabilityError, InsufficientOrderError
+from .errors import IdentifiabilityError
 from .model import MisclassModel, invert_cell_probs
 from .numerics import Number, Scale, as_fraction
-from .series import estimator_series_two, unbiased_exact, unbiased_from_series
+from .series import _two_disease_affine_forms
+# Not called since the coefficient kernel replaced them; perfbench/spans.py traces these names.
+from .series import estimator_series_two, unbiased_exact, unbiased_from_series  # noqa: F401
 
 
 class EstimatorId(enum.Enum):
@@ -118,19 +123,34 @@ def unbiased_one(y: int, c: int, k: int) -> Fraction:
     return 1 - _descending_pool_product(k, c, 0, y)
 
 
-def _misclass_sum(y: int, c: int, k: int, sensitivity: Fraction) -> Fraction:
-    """The rational series part S(y) of the misclassified estimator.
+def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: int) -> Fraction:
+    """The series estimator's value at sample point x for a radicand a0 (1 + b.mu), less a0^(1/k).
 
-    S(y) = sum_{n=0}^{y} C(y,n) sens^-n prod_{m<n}(m - 1/k) / prod_{u<n}(c+y-1-u),
-    accumulated by the exact one-step ratio between consecutive terms.
+    That is prod(x!) (c-1)!/(c+n-1)!, n = |x|, times the coefficient of mu^x
+    in (1 + b.mu)^(1/k) (1 - sum(mu))^(-c), which equals sum_d (1/k)_d
+    (c)_(n-d) e_d / (c)_n, with (1/k)_d a falling and (c)_m a rising
+    factorial, and e_d the t^d coefficient of prod_j (1 + b_j t)^(x_j).  Over
+    b = p/q with common denominator q every step is an integer operation,
+    O(n^2) of them.
     """
-    xi = Fraction(1, k)
-    term = Fraction(1)
-    total = Fraction(1)
-    for n in range(y):
-        term *= Fraction(y - n, n + 1) * (n - xi) / (sensitivity * (c + y - 1 - n))
-        total += term
-    return total
+    q = math.lcm(*(v.denominator for v in b))
+    # E_d = e_d q^d: the s^d coefficients of prod_j (1 + p_j s)^(x_j).
+    e = [1]
+    for bj, xj in zip(b, x):
+        pj = bj.numerator * (q // bj.denominator)
+        if pj:
+            factor = [math.comb(xj, i) * pj**i for i in range(xj + 1)]
+            e = [
+                sum(e[d - i] * factor[i] for i in range(max(0, d + 1 - len(e)), min(d, xj) + 1))
+                for d in range(len(e) + xj)
+            ]
+    # Nested from the top degree: T_d = E_d + (1 - dk) T_(d+1) / (kq (c+n-1-d)), value T_0.
+    n = sum(x)
+    num, den = e[-1], 1
+    for d in reversed(range(len(e) - 1)):
+        step = k * q * (c + n - 1 - d)
+        num, den = e[d] * den * step + (1 - d * k) * num, den * step
+    return Fraction(num, den)
 
 
 def unbiased_one_misclass_parts(
@@ -139,14 +159,15 @@ def unbiased_one_misclass_parts(
     """Exact decomposition p_hat = constant + radical of the misclassified estimator.
 
     The radical part is -(sens/nu)^(1/k) * S(y) carried symbolically, so sign
-    and bound checks can be done exactly by comparing k-th powers.
+    and bound checks can be done exactly by comparing k-th powers.  S(y) is
+    the series coefficient of the radicand 1 - v/sens at v^y.
     """
     spec_ = as_fraction(specificity)
     sens = as_fraction(sensitivity)
     nu = spec_ + sens - 1
     if nu <= 0:
         raise IdentifiabilityError(f"specificity + sensitivity - 1 must be positive, got {nu}")
-    s = _misclass_sum(y, c, k, sens)
+    s = _series_coefficient((-1 / sens,), (y,), c, k)
     return Fraction(1), Scale(-s, sens / nu, Fraction(1, k))
 
 
@@ -220,10 +241,12 @@ def unbiased_two(
 
 
 @lru_cache(maxsize=64)
-def _series_two_cached(k: int, c: int, order: int, misclass: MisclassModel | None):
+def _two_misclass_forms(k: int, misclass: MisclassModel | None) -> dict[str, tuple[Scale, tuple]]:
+    """Per component 00/10/01: the a0^(1/k) scale and normalized slope b = a/a0 of its radicand."""
+    forms, _ = _two_disease_affine_forms(misclass)
     return {
-        name: estimator_series_two(k, c, order, name, misclass)
-        for name in ("00", "10", "01")
+        name: (Scale(1, a0, Fraction(1, k)), tuple(a / a0 for a in linear))
+        for name, (a0, linear) in forms.items()
     }
 
 
@@ -232,30 +255,40 @@ def unbiased_two_misclass(
     c: int,
     k: int,
     misclass: MisclassModel | None,
-    order: int = 64,
 ) -> tuple[Number, Number, Number, Number]:
     """Series-constructed unbiased estimate of (p00, p10, p01, p11) under misclassification.
 
-    Requires a non-singular contrast matrix and sum(z) <= order.  With the
+    Requires a non-singular contrast matrix.  p00 is the series value of its
+    own radicand; p10 and p01 are that of theirs less p00's.  With the
     identity misclassification model this reduces exactly to
     :func:`unbiased_two`.  Values are exact Fractions when no irrational
     radical survives (e.g. the identity case), floats otherwise.
     """
     z = tuple(int(v) for v in z)
-    total = sum(z)
-    if total > order:
-        raise InsufficientOrderError(f"sum(z)={total} exceeds series order {order}")
-    # `order` bounds what may be asked for; the expansion itself is built
-    # lazily at the degree actually needed (rounded up to reuse the cache),
-    # since truncation never changes lower-degree coefficients.
-    build_order = min(order, max(8, -(-total // 8) * 8))
-    series_by_component = _series_two_cached(k, c, build_order, misclass)
-    out: list[Number] = []
-    for name in ("00", "10", "01"):
-        g = series_by_component[name]
-        exact = unbiased_exact(g, c, z)
-        out.append(exact if exact is not None else unbiased_from_series(g, c, z))
-    return (out[0], out[1], out[2], 1 - out[0] - out[1] - out[2])
+    pieces = {
+        name: (scale.radical_key(), scale.coeff * _series_coefficient(b, z, c, k))
+        for name, (scale, b) in _two_misclass_forms(k, misclass).items()
+    }
+    minus00 = (pieces["00"][0], -pieces["00"][1])
+    p00 = _radical_sum([pieces["00"]])
+    p10 = _radical_sum([pieces["10"], minus00])
+    p01 = _radical_sum([pieces["01"], minus00])
+    return (p00, p10, p01, 1 - p00 - p10 - p01)
+
+
+def _radical_sum(pieces: list[tuple[tuple[Fraction, Fraction], Fraction]]) -> Number:
+    """Sum of q * base**exponent over ((base, exponent), q) pieces, merged by radical.
+
+    Exact when every surviving radical is trivial, else a float summed in sorted
+    radical order, bit for bit as :func:`gtseq.series.unbiased_from_series`.
+    """
+    merged: dict[tuple[Fraction, Fraction], Fraction] = {}
+    for key, q in pieces:
+        merged[key] = merged.get(key, 0) + q
+    terms = sorted((key, q) for key, q in merged.items() if q != 0)
+    if all(base == 1 for (base, _), _ in terms):
+        return sum((q for _, q in terms), Fraction(0))
+    return float(sum(float(Scale(q, base, exponent)) for (base, exponent), q in terms))
 
 
 class MleTwoResult(NamedTuple):
@@ -294,7 +327,6 @@ def evaluate(
     specificity: Number = 1,
     sensitivity: Number = 1,
     misclass: MisclassModel | None = None,
-    order: int = 64,
 ) -> tuple[tuple[Number, ...], bool]:
     """(values, clamped) of `estimator` at sample point x.
 
@@ -314,7 +346,7 @@ def evaluate(
     if estimator is EstimatorId.UB_TWO_PERFECT:
         return unbiased_two(x, c, k), False
     if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
-        return unbiased_two_misclass(x, c, k, misclass, order), False
+        return unbiased_two_misclass(x, c, k, misclass), False
     if estimator is EstimatorId.MLE_TWO:
         return mle_two(x, c, k)
     raise ValueError(f"unknown estimator {estimator}")
@@ -366,7 +398,7 @@ def _one_disease_violation(
             return PropernessViolation((y,), "p", float(p_hat), ViolationKind.ABOVE_ONE)
         return None
     nu = specificity + sensitivity - 1
-    s = _misclass_sum(y, c, k, sensitivity)
+    s = _series_coefficient((-1 / sensitivity,), (y,), c, k)
     # p_hat = 1 - (sens/nu)^(1/k) * s ; compare via k-th powers, exactly.
     if s < 0:
         value = 1 + float(Scale(-s, sensitivity / nu, Fraction(1, k)))
@@ -411,7 +443,6 @@ def scan_properness(
     misclass: MisclassModel | None = None,
     bound: int = 100,
     max_violations: int | None = None,
-    order: int | None = None,
 ) -> list[PropernessViolation]:
     """Enumerate sample points with total count <= bound and record violations.
 
@@ -442,11 +473,10 @@ def scan_properness(
             hit = _one_disease_violation(y, c, k, spec_, sens)
             return [] if hit is None else [hit]
     else:
-        order = max(bound if order is None else order, bound)
         points = _iter_simplex_counts(bound)
 
         def check(z):
-            values, _ = evaluate(estimator, z, c, k, misclass=misclass, order=order)
+            values, _ = evaluate(estimator, z, c, k, misclass=misclass)
             return _simplex_violations(z, values)
 
     for x in points:
@@ -474,7 +504,6 @@ def estimator_callable(
     specificity: Number = 1,
     sensitivity: Number = 1,
     misclass: MisclassModel | None = None,
-    order: int = 64,
     component: str | None = None,
 ) -> Callable[[tuple[int, ...]], float]:
     """Uniform sample-point -> float view of any estimator, for expectation sums.
@@ -488,5 +517,5 @@ def estimator_callable(
         idx = TWO_COMPONENTS.index(component)
     else:
         raise ValueError(f"two-disease estimators need component in {sorted(TWO_COMPONENTS)}")
-    params = dict(specificity=specificity, sensitivity=sensitivity, misclass=misclass, order=order)
+    params = dict(specificity=specificity, sensitivity=sensitivity, misclass=misclass)
     return lambda x: float(evaluate(estimator, x, c, k, **params)[0][idx])

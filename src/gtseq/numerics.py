@@ -34,21 +34,14 @@ def int_nth_root(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("n must be nonnegative")
     if n in (0, 1) or k == 1:
         return n, True
-    # Newton iteration on integers, seeded from the float root.
-    x = max(1, int(round(n ** (1.0 / k))))
+    # Integer Newton iteration seeded above the root (n < 2^bits), so it only descends
+    # to the floor root; a float seed can land below it past float precision.
+    x = 1 << -(-n.bit_length() // k)
     while True:
-        xk = x ** k
-        if xk == n:
-            return x, True
         nxt = ((k - 1) * x + n // x ** (k - 1)) // k
         if nxt >= x:
-            break
+            return x, x ** k == n
         x = nxt
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x, x ** k == n
 
 
 def rational_root(x: Fraction, k: int) -> Fraction | None:

@@ -95,9 +95,6 @@ class TruncatedSeries:
     def map_coeffs(self, fn) -> "TruncatedSeries":
         return TruncatedSeries(self.dim, self.order, {k: fn(v) for k, v in self._coeffs.items()})
 
-    def to_float(self) -> "TruncatedSeries":
-        return self.map_coeffs(float)
-
     def _check_dim(self, other: "TruncatedSeries"):
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -209,13 +206,6 @@ class ScaledSeries:
 
     def __neg__(self) -> "ScaledSeries":
         return ScaledSeries(-self.scale, self.series)
-
-    def fold(self) -> TruncatedSeries:
-        """Multiply a rational scale through the coefficients."""
-        return self.series.scaled(self.scale.as_fraction())
-
-    def coeff_float(self, index: MultiIndex) -> float:
-        return float(self.scale) * float(self.series.coeff(index))
 
 
 def expand_affine_power(spec: AffinePowerSpec, order: int) -> ScaledSeries:
@@ -380,11 +370,6 @@ def estimator_series_one(
         AffinePowerSpec(Fraction(1), (Fraction(-1),), Fraction(-c)), order
     )
     return ((numerator * denominator) * Scale(Fraction(1), nu, -xi),)
-
-
-# Canonical cell order for the two-disease observation vector: the three
-# positive patterns (disease-1 only, disease-2 only, both), reference last.
-CELLS = ("10", "01", "11")
 
 
 def _two_disease_affine_forms(misclass) -> tuple[dict[str, tuple[Fraction, list[Fraction]]], Fraction | None]:

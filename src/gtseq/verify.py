@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorId, estimator_callable, pool_factor_table, unbiased_one_misclass
+from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable, pool_factor_table
+from .estimators import unbiased_one_misclass
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
 from .plans import negbin_tail, truncated_expectation
 
@@ -44,6 +45,7 @@ class VerifyRow:
     certified: bool
     max_total: int
     decay_ratio: float | None = None
+    tail_target: float | None = None  # the tail bound the truncation total aimed at
 
     @property
     def error(self) -> float:
@@ -52,7 +54,9 @@ class VerifyRow:
     @property
     def passed(self) -> bool:
         if self.certified:
-            return self.error <= self.tol + (self.tail_bound or 0.0)
+            # A truncation that stopped short of its tail target (at its cap) certifies nothing.
+            tail = self.tail_bound
+            return tail <= self.tail_target and self.error <= self.tol + tail
         return self.error <= self.tol and (self.decay_ratio or math.inf) < 1.0
 
 
@@ -85,7 +89,8 @@ def verify_one(
     mu0 = 1.0 - theta
     if model.is_perfect_test:
         tol = 1e-8 if tol is None else tol
-        max_total = stopping_quantile(c, mu0, tol / (2 * ONE_PERFECT_BOUND), cap)
+        aim = tol / (2 * ONE_PERFECT_BOUND)
+        max_total = stopping_quantile(c, mu0, aim, cap)
         result = truncated_expectation(
             estimator_callable(EstimatorId.UB_ONE_PERFECT, c, k),
             c,
@@ -103,6 +108,7 @@ def verify_one(
             tail_bound=result.tail_bound,
             certified=True,
             max_total=result.max_total,
+            tail_target=ONE_PERFECT_BOUND * aim,
         )
     # Unbounded estimator: adaptive partial sum with decay diagnostic.
     tol = 1e-6 if tol is None else tol
@@ -178,7 +184,8 @@ def verify_two(
     model = TwoDiseaseModel(p10, p01, p11, k, c)
     cells = tuple(float(v) for v in pool_cell_probs(model))
     t10, t01, t11, mu0 = cells
-    n = stopping_quantile(c, mu0, tol / (2 * TWO_COMPONENT_BOUND), cap)
+    aim = tol / (2 * TWO_COMPONENT_BOUND)
+    n = stopping_quantile(c, mu0, aim, cap)
     tail = negbin_tail(c, mu0, n)
 
     # Leading component: depends on the total only, NB(c, mu0) sum.
@@ -210,11 +217,10 @@ def verify_two(
     e01 = cross_expectation(t01, t10 + t11)
     e11 = mass - e00 - e10 - e01
 
-    p00, p10t, p01t, p11t = (float(v) for v in model.prevalences())
-    rows = [
-        VerifyRow("UB_TWO_PERFECT", "p00", p00, e00, tol, TWO_COMPONENT_BOUND * tail, True, n),
-        VerifyRow("UB_TWO_PERFECT", "p10", p10t, e10, tol, TWO_COMPONENT_BOUND * tail, True, n),
-        VerifyRow("UB_TWO_PERFECT", "p01", p01t, e01, tol, TWO_COMPONENT_BOUND * tail, True, n),
-        VerifyRow("UB_TWO_PERFECT", "p11", p11t, e11, tol, TWO_COMPLEMENT_BOUND * tail, True, n),
+    bounds = (TWO_COMPONENT_BOUND,) * 3 + (TWO_COMPLEMENT_BOUND,)
+    checks = zip(TWO_COMPONENTS, model.prevalences(), (e00, e10, e01, e11), bounds)
+    return [
+        VerifyRow("UB_TWO_PERFECT", name, float(truth), value, tol, bound * tail, True, n,
+                  tail_target=bound * aim)
+        for name, truth, value, bound in checks
     ]
-    return rows

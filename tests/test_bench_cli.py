@@ -38,6 +38,20 @@ k = 2
 c = 1
 """
 
+MISCLASS_TWO_CFG = """\
+[run]
+mode = bench
+seed = 5
+replicates = 50
+
+[model]
+family = two
+p = 0.1:0.1:0.05
+k = 5
+c = 20
+misclass = 0.75:0.875:0.875:0.75
+"""
+
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -123,6 +137,19 @@ class TestBench:
         assert [r.component for r in by_est["UB_TWO_PERFECT"]] == ["p00", "p10", "p01", "p11"]
         for row in by_est["UB_TWO_PERFECT"]:
             assert abs(row.bias) <= 3 * row.se, row.component
+
+    def test_two_disease_misclass_bench_past_sample_total_64(self):
+        # Sample totals well above 64: every replicate is evaluated, none is
+        # dropped for its size, and the series estimator stays unbiased.
+        text = MISCLASS_TWO_CFG
+        walks, _ = run_mode(parse_config(text.replace("mode = bench", "mode = simulate")))
+        assert max(w.estimate for w in walks) - 20 > 64
+        records, ok = run_mode(parse_config(text))
+        assert ok and len(records) == 8
+        for row in records:
+            assert "error=" not in row.flags and row.estimate is not None, row
+            if row.estimator == "UB_TWO_MISCLASS_SERIES":
+                assert abs(row.bias) <= 5 * row.se, row.component
 
     def test_replicates_zero_empty_stream(self):
         cfg = parse_config(BENCH_CFG.replace("replicates = 4000", "replicates = 0"))

@@ -26,7 +26,6 @@ class TestParsing:
     def test_minimal_config_gets_documented_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.mode == "bench" and cfg.seed == 42
-        assert cfg.order == 64
         assert cfg.replicates == 100_000
         assert cfg.format == "csv"
         assert cfg.misclass_grid == (None,)
@@ -86,6 +85,11 @@ class TestValidationErrors:
     def test_unknown_key_with_line(self):
         with pytest.raises(ConfigError, match=r"line 4.*unknown key 'sed'"):
             parse_config("[run]\nmode = bench\nseed = 1\nsed = 2\n"
+                         "[model]\np = 0.1\nk = 2\nc = 1\n")
+
+    def test_removed_order_key_is_unknown(self):
+        with pytest.raises(ConfigError, match=r"line 4.*unknown key 'order' in \[run\]"):
+            parse_config("[run]\nmode = bench\nseed = 1\norder = 64\n"
                          "[model]\np = 0.1\nk = 2\nc = 1\n")
 
     def test_malformed_line(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtseq.errors import IdentifiabilityError, InsufficientOrderError
+from gtseq.errors import IdentifiabilityError
 from gtseq.estimators import (
     FAMILY,
     TWO_COMPONENTS,
@@ -30,7 +30,13 @@ from gtseq.estimators import (
 )
 from gtseq.model import IndepErrorParams, MisclassModel, independent_errors
 from gtseq.plans import truncated_expectation
-from gtseq.series import estimator_series_one, estimator_series_two, unbiased_exact, unbiased_parts
+from gtseq.series import (
+    estimator_series_one,
+    estimator_series_two,
+    unbiased_exact,
+    unbiased_from_series,
+    unbiased_parts,
+)
 
 
 class TestUnbiasedOne:
@@ -160,23 +166,43 @@ class TestUnbiasedTwoMisclass:
         ident = MisclassModel.identity()
         for c, k in [(1, 2), (2, 1), (2, 3)]:
             for z in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 2, 1)]:
-                assert unbiased_two_misclass(z, c, k, ident, order=6) == unbiased_two(z, c, k)
+                assert unbiased_two_misclass(z, c, k, ident) == unbiased_two(z, c, k)
 
     def test_zero_counts_identity(self):
-        assert unbiased_two_misclass((0, 0, 0), 1, 2, MisclassModel.identity(), order=4) == (
+        assert unbiased_two_misclass((0, 0, 0), 1, 2, MisclassModel.identity()) == (
             1, 0, 0, 0,
         )
 
-    def test_order_exhaustion(self):
-        with pytest.raises(InsufficientOrderError):
-            unbiased_two_misclass((3, 3, 3), 1, 2, MisclassModel.identity(), order=4)
+    @pytest.mark.parametrize("z", [(30, 25, 15), (0, 0, 70), (64, 1, 0)])
+    def test_identity_model_reduces_exactly_at_large_totals(self, z):
+        # Sample totals above 64, where the truncated-series path ran out of order.
+        for c, k in [(1, 2), (3, 5)]:
+            assert unbiased_two_misclass(z, c, k, MisclassModel.identity()) == unbiased_two(z, c, k)
+
+    @pytest.mark.parametrize(
+        "margins", [("0.98", "0.95", "0.97", "0.9"), ("0.75", "0.875", "0.875", "0.75")]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_matches_series_oracle_exactly(self, margins, k, c):
+        # Decimal and dyadic misclassification: every sample with total <= 8,
+        # against the truncated-series construction, value and type alike.
+        mis = independent_errors(IndepErrorParams(*(F(m) for m in margins)))
+        gs = {name: estimator_series_two(k, c, 8, name, mis) for name in ("00", "10", "01")}
+        for z in _iter_simplex_counts(8):
+            want = []
+            for name in ("00", "10", "01"):
+                exact = unbiased_exact(gs[name], c, z)
+                want.append(exact if exact is not None else unbiased_from_series(gs[name], c, z))
+            got = unbiased_two_misclass(z, c, k, mis)[:3]
+            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], z
 
     def test_singular_contrast_rejected(self):
         with pytest.warns(UserWarning):
             params = IndepErrorParams(F("0.5"), F("0.5"), F("0.9"), F("0.9"))
         mis = independent_errors(params)
         with pytest.raises(IdentifiabilityError):
-            unbiased_two_misclass((1, 0, 0), 1, 2, mis, order=4)
+            unbiased_two_misclass((1, 0, 0), 1, 2, mis)
 
     @pytest.mark.parametrize(
         "margins,prevalences,k,c",
@@ -195,14 +221,12 @@ class TestUnbiasedTwoMisclass:
         mis = independent_errors(params)
         model = TwoDiseaseModel(*(F(p) for p in prevalences), k, c, mis)
         eta = tuple(float(v) for v in observed_cell_probs(model)[:3])
-        order = 13
         truths = [float(v) for v in model.prevalences()]
         for idx, component in enumerate(("p00", "p10", "p01", "p11")):
             fn = estimator_callable(
-                EstimatorId.UB_TWO_MISCLASS_SERIES, c, k,
-                misclass=mis, order=order, component=component,
+                EstimatorId.UB_TWO_MISCLASS_SERIES, c, k, misclass=mis, component=component,
             )
-            result = truncated_expectation(fn, c, eta, max_total=order)
+            result = truncated_expectation(fn, c, eta, max_total=13)
             assert result.value == pytest.approx(truths[idx], abs=2e-6), component
 
 
@@ -300,7 +324,7 @@ class TestScanProperness:
         # here, so its simplex sum must be compared (and reported) exactly.
         got = scan_properness(
             EstimatorId.UB_TWO_MISCLASS_SERIES, 1, 2,
-            misclass=MisclassModel.identity(), bound=6, order=4,
+            misclass=MisclassModel.identity(), bound=6,
         )
         want = scan_properness(EstimatorId.UB_TWO_PERFECT, 1, 2, bound=6)
         assert len(want) == 48

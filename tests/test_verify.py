@@ -32,6 +32,13 @@ class TestVerifyOne:
         assert row.decay_ratio is not None and row.decay_ratio < 1
         assert row.passed and row.error <= 1e-6
 
+    def test_capped_truncation_fails(self):
+        # mu0**c underflows, so the truncation total runs to its cap and the
+        # tail bound is about 1: the row must not pass on error <= tol + tail.
+        row = verify_one(0.5, 10, 300, cap=50)
+        assert row.certified and row.max_total == 50 and row.tail_bound > 0.5
+        assert not row.passed
+
     def test_failure_reported_not_hidden(self):
         row = verify_one(0.05, 5, 2, 0.98, 0.95, tol=1e-30)
         assert not row.passed
