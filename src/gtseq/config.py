@@ -227,8 +227,9 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
         cfg["threads"] = _parse_int(raw[0], raw[1], "threads", minimum=1)
     if (raw := get("run", "tol")) is not None:
         tol = _parse_float(raw[0], raw[1], "tol")
-        if tol <= 0:
-            raise ConfigError(f"tol must be positive, got {tol}", raw[1])
+        # Also rejects nan; a tol of 1 or more passes every verify row vacuously.
+        if not 0 < tol < 1:
+            raise ConfigError(f"tol must lie in (0, 1), got {tol}", raw[1])
         cfg["tol"] = tol
     if (raw := get("run", "bound")) is not None:
         cfg["bound"] = _parse_int(raw[0], raw[1], "bound", minimum=0)

@@ -27,8 +27,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import IdentifiabilityError
-from .model import MisclassModel, invert_cell_probs
+from .errors import DomainError, IdentifiabilityError
+from .model import MisclassModel
+# Not called since mle_two_table inverts every sample at once; perfbench/spans.py traces this name.
+from .model import invert_cell_probs  # noqa: F401
 from .numerics import Number, Scale, as_fraction
 from .series import _two_disease_affine_forms
 # Not called since the coefficient kernel replaced them; perfbench/spans.py traces these names.
@@ -291,26 +293,48 @@ def _radical_sum(pieces: list[tuple[tuple[Fraction, Fraction], Fraction]]) -> Nu
     return float(sum(float(Scale(q, base, exponent)) for (base, exponent), q in terms))
 
 
+def mle_two_table(samples: np.ndarray, c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in MLE baseline for two traits over an (n, 3) sample array.
+
+    Returns float values (p00, p10, p01, p11), one row per sample, and clamp
+    flags.  Each row inverts the cell probabilities at v_hat = z/(c + sum(z))
+    with the operations of :func:`gtseq.model.invert_cell_probs`, in its
+    order; the complement component can go negative, so the row is clamped
+    to [0, 1] and renormalized by the left-to-right sum of its components.
+    The k-th roots use Python's float pow: np.power can round differently in
+    the last bit.
+    """
+    z10, z01, z11 = np.asarray(samples, dtype=np.int64).T
+    total = c + z10 + z01 + z11
+    c10, c01, c11 = z10 / total, z01 / total, z11 / total
+    radicands = np.stack((1 - c10 - c01 - c11, 1 - c01 - c11, 1 - c10 - c11))
+    bad = radicands <= 0
+    if bad.any():
+        row, comp = np.argwhere(bad.T)[0]
+        raise DomainError(
+            f"nonpositive radicand {float(radicands[comp, row])} for component "
+            f"{('00', '10', '01')[comp]}"
+        )
+    power = 1.0 / k
+    roots = np.array([r**power for r in radicands.ravel().tolist()]).reshape(radicands.shape)
+    p00 = roots[0]
+    p10 = roots[1] - p00
+    p01 = roots[2] - p00
+    raw = np.column_stack((p00, p10, p01, 1 - p00 - p10 - p01))
+    clipped = np.clip(raw, 0.0, 1.0)
+    total_p = ((clipped[:, 0] + clipped[:, 1]) + clipped[:, 2]) + clipped[:, 3]
+    return clipped / total_p[:, None], (clipped != raw).any(axis=1)
+
+
 class MleTwoResult(NamedTuple):
     p: tuple[float, float, float, float]
     clamped: bool
 
 
 def mle_two(z: tuple[int, int, int], c: int, k: int) -> MleTwoResult:
-    """Plug-in MLE baseline for two traits: invert at v_hat = z/(c + sum(z)).
-
-    The inversion radicands are strictly positive here, but the complement
-    component can go negative; the vector is clamped to [0, 1] and
-    renormalized onto the simplex, with clamping reported.
-    """
-    z10, z01, z11 = z
-    total = c + z10 + z01 + z11
-    v_hat = (z10 / total, z01 / total, z11 / total)
-    raw = invert_cell_probs(v_hat, k)
-    clipped = [min(1.0, max(0.0, float(v))) for v in raw]
-    clamped = any(abs(a - float(b)) > 0.0 for a, b in zip(clipped, raw))
-    s = sum(clipped)
-    return MleTwoResult(tuple(v / s for v in clipped), clamped)
+    """Plug-in MLE baseline for two traits at one sample: a one-row :func:`mle_two_table`."""
+    values, clamped = mle_two_table(np.array([z]), c, k)
+    return MleTwoResult(tuple(values[0].tolist()), bool(clamped[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +382,9 @@ def evaluate_table(
     """Float values (one row per sample, one column per component) and clamp flags.
 
     `samples` is an integer array with one sample point per row.  The two
-    perfect-test closed forms are read off :func:`pool_factor_table`; every
-    other estimator goes through :func:`evaluate`, once per row.
+    perfect-test closed forms are read off :func:`pool_factor_table` and
+    MLE_TWO is :func:`mle_two_table`; only the exact misclassified estimators
+    and MLE_ONE still go through :func:`evaluate`, once per row.
     """
     samples = np.asarray(samples, dtype=np.int64)
     n = len(samples)
@@ -376,6 +401,8 @@ def evaluate_table(
         v10 = table[z10, z01 + z11] - v00
         v01 = table[z01, z10 + z11] - v00
         return np.column_stack((v00, v10, v01, 1.0 - v00 - v10 - v01)), np.zeros(n, dtype=bool)
+    if estimator is EstimatorId.MLE_TWO:
+        return mle_two_table(samples, c, k)
     results = [evaluate(estimator, tuple(x), c, k, **params) for x in samples.tolist()]
     values = np.array([[float(v) for v in vals] for vals, _ in results]).reshape(n, -1)
     return values, np.array([clamped for _, clamped in results], dtype=bool)

@@ -170,6 +170,12 @@ class TestValidationErrors:
         with pytest.raises(ConfigError, match=r"line 9: z must be an integer, got '1.5'"):
             parse_config(two_estimate("1.5:0:0"))
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1", "-1e-9"])
+    def test_tol_outside_open_unit_interval_rejected(self, tol):
+        text = MINIMAL.replace("seed = 42", f"seed = 42\ntol = {tol}")
+        with pytest.raises(ConfigError, match=r"line 4: tol must lie in \(0, 1\)"):
+            parse_config(text)
+
     def test_negative_z_count_rejected(self):
         with pytest.raises(ConfigError, match=r"line 9: z must be >= 0, got -1"):
             parse_config(two_estimate("0:0:0, -1:0:0"))

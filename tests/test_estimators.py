@@ -28,7 +28,7 @@ from gtseq.estimators import (
     unbiased_two,
     unbiased_two_misclass,
 )
-from gtseq.model import IndepErrorParams, MisclassModel, independent_errors
+from gtseq.model import IndepErrorParams, MisclassModel, independent_errors, invert_cell_probs
 from gtseq.plans import truncated_expectation
 from gtseq.series import (
     estimator_series_one,
@@ -350,13 +350,22 @@ class TestEvaluate:
             exact, _ = evaluate(EstimatorId.UB_TWO_PERFECT, z, c, k)
             assert row.tolist() == pytest.approx([float(v) for v in exact], rel=0, abs=1e-13), z
 
-    def test_other_estimators_go_through_evaluate(self):
-        samples = np.array([[0, 0, 0], [1, 1, 0], [0, 0, 9]])
-        values, clamped = evaluate_table(EstimatorId.MLE_TWO, samples, 1, 3)
-        for z, row, flag in zip(map(tuple, samples.tolist()), values, clamped):
-            result = mle_two(z, 1, 3)
-            assert tuple(row) == result.p and flag == result.clamped
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    @pytest.mark.parametrize("c", [1, 5, 20])
+    def test_mle_two_table_equals_scalar_inversion_bitwise(self, c, k):
+        samples = np.array(list(_iter_simplex_counts(40)))
+        values, clamped = evaluate_table(EstimatorId.MLE_TWO, samples, c, k)
+        for z, row, flag in zip(map(tuple, samples.tolist()), values.tolist(), clamped.tolist()):
+            total = c + sum(z)
+            raw = invert_cell_probs(tuple(v / total for v in z), k)
+            clipped = [min(1.0, max(0.0, v)) for v in raw]
+            s = ((clipped[0] + clipped[1]) + clipped[2]) + clipped[3]
+            assert row == [v / s for v in clipped] and flag == (clipped != list(raw)), z
         assert clamped.any()
+        for i in (0, int(clamped.argmax())):
+            result = mle_two(tuple(samples[i].tolist()), c, k)
+            assert result.p == tuple(values[i].tolist()) and result.clamped == clamped[i]
+            assert all(type(v) is float for v in result.p)
 
     def test_family_and_components(self):
         assert {FAMILY[e] for e in EstimatorId} == {"one", "two"}
