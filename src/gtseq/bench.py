@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ExperimentConfig, GridPoint
+from .config import ExperimentConfig, GridPoint, identify_params
 from .errors import ConfigError
 from .estimators import (
     FAMILY,
@@ -37,7 +37,6 @@ from .estimators import (  # noqa: F401
     unbiased_two_misclass,
 )
 from .model import (
-    IndepErrorParams,
     identifiability,
     independent_errors,
     observed_cell_probs,
@@ -47,30 +46,26 @@ from .model import (
 from .plans import simulate_imn_counts
 from .verify import verify_one, verify_two
 
-CSV_HEADER = [
-    "estimator", "p", "p10", "p01", "p11", "k", "c",
-    "pi0", "pi1", "pi0_2", "pi1_2",
-    "component", "sample", "replicates",
-    "estimate", "bias", "mse", "se", "flags",
-]
 
-
-@dataclass
+@dataclass(kw_only=True)
 class EstimateRecord:
-    """One output row: an estimator evaluation or a Monte Carlo summary."""
+    """One output row: an estimator evaluation or a Monte Carlo summary.
+
+    The fields are declared in CSV column order; :data:`CSV_HEADER` is read off them.
+    """
 
     estimator: str
-    k: int
-    c: int
-    component: str
     p: float | None = None
     p10: float | None = None
     p01: float | None = None
     p11: float | None = None
+    k: int
+    c: int
     pi0: float | None = None
     pi1: float | None = None
     pi0_2: float | None = None
     pi1_2: float | None = None
+    component: str
     sample: str = ""
     replicates: int | None = None
     estimate: float | None = None
@@ -93,8 +88,7 @@ class EstimateRecord:
         return {name: getattr(self, name) for name in CSV_HEADER}
 
 
-_FIELD_NAMES = {f.name for f in fields(EstimateRecord)}
-assert set(CSV_HEADER) == _FIELD_NAMES, "CSV header out of sync with record fields"
+CSV_HEADER = [f.name for f in fields(EstimateRecord)]
 
 
 def write_records(records, fmt: str, path: str | None) -> None:
@@ -321,7 +315,7 @@ def run_identify(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
     for mis in config.misclass_grid:
         if mis is None:
             continue
-        params = IndepErrorParams(*mis) if len(mis) == 4 else IndepErrorParams(mis[0], mis[1], 1.0, 1.0)
+        params = identify_params(mis)
         ok, det = identifiability(independent_errors(params))
         records.append(
             EstimateRecord(

@@ -313,15 +313,23 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
     return config
 
 
+def identify_params(mis: tuple[float, ...]) -> IndepErrorParams:
+    """The per-trait errors of an identify-mode misclass entry; a pair leaves trait 2 perfect.
+
+    Validation and the identify run both build them here, so a weak-test
+    warning is reported once, at this line.
+    """
+    return IndepErrorParams(*mis) if len(mis) == 4 else IndepErrorParams(mis[0], mis[1], 1.0, 1.0)
+
+
 def _validate_models(config: ExperimentConfig) -> None:
     """Run every grid point through the model constructors before any run."""
     if config.mode == "identify":
         for mis in config.misclass_grid:
             if mis is None:
                 continue
-            params = mis if len(mis) == 4 else (mis[0], mis[1], 1.0, 1.0)
             try:
-                independent_errors(IndepErrorParams(*params))
+                independent_errors(identify_params(mis))
             except ValueError as exc:
                 raise ConfigError(f"invalid misclass parameters {mis}: {exc}") from exc
         return

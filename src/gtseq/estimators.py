@@ -532,9 +532,10 @@ def estimator_callable(
     sensitivity: Number = 1,
     misclass: MisclassModel | None = None,
     component: str | None = None,
-) -> Callable[[tuple[int, ...]], float]:
-    """Uniform sample-point -> float view of any estimator, for expectation sums.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch view of any estimator for expectation sums: one column of :func:`evaluate_table`.
 
+    The callable maps an (n, t) integer sample array to n floats.
     `component` picks one of p00/p10/p01/p11 for the two-disease estimators
     (or "p" / None for one disease).
     """
@@ -545,4 +546,4 @@ def estimator_callable(
     else:
         raise ValueError(f"two-disease estimators need component in {sorted(TWO_COMPONENTS)}")
     params = dict(specificity=specificity, sensitivity=sensitivity, misclass=misclass)
-    return lambda x: float(evaluate(estimator, x, c, k, **params)[0][idx])
+    return lambda samples: evaluate_table(estimator, samples, c, k, **params)[0][:, idx]

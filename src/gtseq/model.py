@@ -19,11 +19,11 @@ exact-rational backend used by the test oracles, floats give the ordinary
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IdentifiabilityError, ModelError
-from .numerics import Number, as_fraction, is_exact, kth_root
+from .numerics import Number, is_exact, kth_root
 
 # Canonical order of the two-disease outcome patterns.  The three positive
 # patterns (disease-1 only, disease-2 only, both) come first and the
@@ -61,13 +61,19 @@ def _check_nu(nu: Number, exact: bool):
         )
 
 
-def _warn_weak_test(*params: Number):
-    if any(float(v) <= 0.5 for v in params):
+def _warn_weak_test(**params: Number):
+    """Warn about parameters <= 0.5, at the frame that constructed the model.
+
+    Called from a dataclass ``__post_init__``: stacklevel 4 skips this
+    function, ``__post_init__`` and the generated ``__init__``.
+    """
+    weak = ", ".join(f"{name} = {value}" for name, value in params.items() if float(value) <= 0.5)
+    if weak:
         warnings.warn(
-            "misclassification parameter <= 0.5: the test is no better than "
+            f"misclassification parameter <= 0.5 ({weak}): the test is no better than "
             "random guessing; estimates remain well-defined but fragile",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -91,7 +97,7 @@ class OneDiseaseModel:
         _check_half_open_unit("specificity", self.specificity)
         _check_half_open_unit("sensitivity", self.sensitivity)
         _check_nu(self.nu, is_exact(self.specificity) and is_exact(self.sensitivity))
-        _warn_weak_test(self.specificity, self.sensitivity)
+        _warn_weak_test(specificity=self.specificity, sensitivity=self.sensitivity)
 
     @property
     def q(self) -> Number:
@@ -104,12 +110,6 @@ class OneDiseaseModel:
     @property
     def is_perfect_test(self) -> bool:
         return self.specificity == 1 and self.sensitivity == 1
-
-    def as_exact(self) -> "OneDiseaseModel":
-        return OneDiseaseModel(
-            as_fraction(self.p), self.k, self.c,
-            as_fraction(self.specificity), as_fraction(self.sensitivity),
-        )
 
 
 def observed_pos_prob(model: OneDiseaseModel) -> Number:
@@ -184,9 +184,6 @@ class MisclassModel:
             tuple(self.cond[a][b] - self.cond[a][b00] for b in range(3)) for a in range(3)
         )
 
-    def as_exact(self) -> "MisclassModel":
-        return MisclassModel(tuple(tuple(as_fraction(v) for v in row) for row in self.cond))
-
 
 @dataclass(frozen=True)
 class IndepErrorParams:
@@ -198,11 +195,10 @@ class IndepErrorParams:
     sensitivity2: Number
 
     def __post_init__(self):
-        for name in ("specificity1", "sensitivity1", "specificity2", "sensitivity2"):
-            _check_half_open_unit(name, getattr(self, name))
-        _warn_weak_test(
-            self.specificity1, self.sensitivity1, self.specificity2, self.sensitivity2
-        )
+        params = asdict(self)
+        for name, value in params.items():
+            _check_half_open_unit(name, value)
+        _warn_weak_test(**params)
 
     @property
     def nu1(self) -> Number:
@@ -275,23 +271,8 @@ class TwoDiseaseModel:
     def p00(self) -> Number:
         return 1 - self.p10 - self.p01 - self.p11
 
-    @property
-    def marginal1(self) -> Number:
-        return self.p10 + self.p11
-
-    @property
-    def marginal2(self) -> Number:
-        return self.p01 + self.p11
-
     def prevalences(self) -> tuple[Number, Number, Number, Number]:
         return (self.p00, self.p10, self.p01, self.p11)
-
-    def as_exact(self) -> "TwoDiseaseModel":
-        return TwoDiseaseModel(
-            as_fraction(self.p10), as_fraction(self.p01), as_fraction(self.p11),
-            self.k, self.c,
-            self.misclass.as_exact() if self.misclass is not None else None,
-        )
 
 
 def pool_cell_probs(model: TwoDiseaseModel) -> tuple[Number, Number, Number, Number]:

@@ -195,27 +195,36 @@ def _check_mu(mu: Sequence[Number]) -> tuple[Number, ...]:
     return mu
 
 
-def imn_pmf(x: Sequence[int], c: int, mu: Sequence[Number]) -> float:
-    """P(X = x) under IMN_t(c, mu), evaluated in log space."""
+def imn_pmf(x: Sequence[int] | np.ndarray, c: int, mu: Sequence[Number]) -> float | np.ndarray:
+    """P(X = x) under IMN_t(c, mu), evaluated in log space.
+
+    x is one count vector (the result is a float) or an (n, t) integer array
+    with one count vector per row (the result is n floats).
+    """
     mu = _check_mu(mu)
-    x = tuple(int(v) for v in x)
-    if len(x) != len(mu):
+    counts = np.asarray(x, dtype=np.int64)
+    if counts.ndim not in (1, 2) or counts.shape[-1] != len(mu):
         raise DomainError(f"count vector {x} does not match mu of length {len(mu)}")
-    if any(v < 0 for v in x):
+    if (counts < 0).any():
         raise DomainError(f"negative count in {x}")
     if c < 1:
         raise DomainError("c must be >= 1")
+    rows = counts.reshape(-1, len(mu))
+    totals = rows.sum(axis=1)
+    # log m! for 0 <= m < c + max total, the only factorials the pmf needs.
+    log_fact = np.array([math.lgamma(m + 1) for m in range(c + int(totals.max(initial=0)))])
     mu0 = 1 - sum(float(v) for v in mu)
-    s = sum(x)
-    log_p = math.lgamma(c + s) - math.lgamma(c) + c * math.log(mu0)
-    for xi, mui in zip(x, mu):
-        if xi == 0:
-            continue
+    log_p = log_fact[c + totals - 1] - log_fact[c - 1] + c * math.log(mu0)
+    for xi, mui in zip(rows.T, mu):
         mf = float(mui)
+        seen = xi > 0
         if mf == 0.0:
-            return 0.0
-        log_p += xi * math.log(mf) - math.lgamma(xi + 1)
-    return math.exp(log_p)
+            log_p[seen] = -math.inf
+        else:
+            log_p += np.where(seen, xi * math.log(mf) - log_fact[xi], 0.0)
+    # math.exp, not np.exp: numpy's vectorised exp may round differently in the last bit.
+    pmf = np.fromiter(map(math.exp, log_p.tolist()), float, len(log_p))
+    return float(pmf[0]) if counts.ndim == 1 else pmf
 
 
 def imn_pmf_exact(x: Sequence[int], c: int, mu: Sequence[Number]) -> Fraction:
@@ -404,7 +413,7 @@ def negbin_tail(c: int, mu0: float, max_total: int) -> float:
 
 
 def truncated_expectation(
-    estimator: Callable[[Point], float],
+    estimator: Callable[[np.ndarray], np.ndarray | float],
     c: int,
     mu: Sequence[float],
     *,
@@ -414,33 +423,25 @@ def truncated_expectation(
 ) -> ExpectationResult:
     """Sum estimator(x) * pmf(x) over all x with total <= max_total.
 
-    With `estimator_bound` (a bound on |estimator| valid on the tail) the
-    result carries a certified tail bound; without one the partial sum is
-    returned with a shell-decay diagnostic and flagged as uncertified.
+    `estimator` is a batch estimator: it maps an (n, t) integer array of
+    sample points to n floats (a constant broadcasts).  With
+    `estimator_bound` (a bound on |estimator| valid on the tail) the result
+    carries a certified tail bound; without one the partial sum is returned
+    with a shell-decay diagnostic and flagged as uncertified.
     """
     mu = _check_mu(tuple(float(v) for v in mu))
     t = len(mu)
     mu0 = 1.0 - sum(mu)
-    contributions: list[float] = []
-    masses: list[float] = []
-    shell_values: list[float] = []
-    n_points = 0
-    for total in range(max_total + 1):
-        shell = 0.0
-        for head in itertools.product(range(total + 1), repeat=t - 1):
-            s = sum(head)
-            if s > total:
-                continue
-            x = head + (total - s,)
-            p = imn_pmf(x, c, mu)
-            masses.append(p)
-            term = estimator(x) * p
-            contributions.append(term)
-            shell += abs(term)
-            n_points += 1
-        shell_values.append(shell)
-    value = math.fsum(contributions)
-    mass = math.fsum(masses)
+    points = np.array(list(iter_counts(t, max_total)), dtype=np.int64).reshape(-1, t)
+    n_points = len(points)
+    masses = imn_pmf(points, c, mu)
+    contributions = np.broadcast_to(estimator(points), (n_points,)) * masses
+    value = math.fsum(contributions.tolist())
+    mass = math.fsum(masses.tolist())
+    # Shell s holds the points with total s, summed in lattice order.
+    shell_values = np.bincount(
+        points.sum(axis=1), weights=np.abs(contributions), minlength=max_total + 1
+    ).tolist()
     tail_prob = negbin_tail(c, mu0, max_total)
     if estimator_bound is not None:
         tail_bound = abs(estimator_bound) * tail_prob
@@ -455,9 +456,7 @@ def truncated_expectation(
             n_points=n_points,
         )
     nonzero = [v for v in shell_values if v > 0]
-    decay = None
-    if len(nonzero) >= 2:
-        decay = nonzero[-1] / nonzero[-2] if nonzero[-2] > 0 else math.inf
+    decay = nonzero[-1] / nonzero[-2] if len(nonzero) >= 2 else None
     scale = max(1.0, abs(value))
     converged = bool(
         shell_values

@@ -22,7 +22,7 @@ import numpy as np
 from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable, pool_factor_table
 from .estimators import unbiased_one_misclass
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
-from .plans import negbin_tail, truncated_expectation
+from .plans import imn_pmf, negbin_tail, truncated_expectation
 
 # Bounds certified by the product structure of the closed forms: the
 # perfect-test estimates lie in [0, 1]; each two-disease leading component
@@ -147,23 +147,6 @@ def verify_one(
     )
 
 
-def _neg_multinomial_2d_logpmf(c: int, mu0: float, pa: float, pb: float, n: int) -> np.ndarray:
-    """log P(A=a, B=b) for the two-class collapse of an IMN model, on a (n+1)^2 grid."""
-    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, c + 2 * n + 1)))))
-    a = np.arange(n + 1)[:, None]
-    b = np.arange(n + 1)[None, :]
-    out = (
-        lf[c + a + b - 1]
-        - lf[c - 1]
-        - lf[a]
-        - lf[b]
-        + c * math.log(mu0)
-        + a * math.log(pa)
-        + b * math.log(pb)
-    )
-    return out
-
-
 def verify_two(
     p10: float,
     p01: float,
@@ -189,28 +172,18 @@ def verify_two(
     tail = negbin_tail(c, mu0, n)
 
     # Leading component: depends on the total only, NB(c, mu0) sum.
-    totals = np.arange(n + 1)
     table = pool_factor_table(k, c, n, n)
     p00_table = table[0]
-    log_nb = (
-        np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, c + n + 1)))))[c + totals - 1]
-        - math.lgamma(c)
-        - np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))[totals]
-        + c * math.log(mu0)
-        + totals * math.log(1.0 - mu0)
-    )
-    nb_pmf = np.exp(log_nb)
+    nb_pmf = imn_pmf(np.arange(n + 1)[:, None], c, (1.0 - mu0,))
     e00 = float(p00_table @ nb_pmf)
     mass = float(np.sum(nb_pmf))
 
-    tri = np.arange(n + 1)[:, None] + np.arange(n + 1)[None, :] <= n
+    # Cross components: (own count, sum of the other two) over the triangle own + rest <= n.
+    own, rest = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
 
     def cross_expectation(own_prob: float, rest_prob: float) -> float:
-        logp = _neg_multinomial_2d_logpmf(c, mu0, own_prob, rest_prob, n)
-        pmf2 = np.where(tri, np.exp(logp), 0.0)
-        own = np.arange(n + 1)[:, None]
-        rest = np.arange(n + 1)[None, :]
-        est = table[own, rest] - p00_table[np.minimum(own + rest, n)]
+        pmf2 = imn_pmf(np.column_stack((own, rest)), c, (own_prob, rest_prob))
+        est = table[own, rest] - p00_table[own + rest]
         return float(np.sum(est * pmf2))
 
     e10 = cross_expectation(t10, t01 + t11)

@@ -247,21 +247,15 @@ class TestCriterion7MonteCarlo:
         for offset, (c, mu) in enumerate(one_disease + two_disease):
             counts = simulate_imn_counts(c, mu, replicates, seed=self.SEED + offset)
             configs_checked += 1
-            if len(mu) == 1:
-                observed = np.bincount(counts[:, 0])
-                points = [(y,) for y in range(len(observed)) ]
-                freqs = {pt: observed[pt[0]] / replicates for pt in points}
-            else:
-                freqs = {}
-                for row in counts:
-                    key = tuple(int(v) for v in row)
-                    freqs[key] = freqs.get(key, 0) + 1
-                freqs = {pt: n / replicates for pt, n in freqs.items()}
+            # One int64 key per row, in a base above every count and every checked point.
+            weights = (max(int(counts.max()), 4) + 1) ** np.arange(len(mu))[::-1]
+            keys, tallies = np.unique(counts @ weights, return_counts=True)
+            freqs = dict(zip(keys.tolist(), (tallies / replicates).tolist()))
             for pt in iter_counts(len(mu), 4):
                 prob = imn_pmf(pt, c, mu)
                 if prob < 1e-4:
                     continue
-                freq = freqs.get(tuple(pt), 0.0)
+                freq = freqs.get(int(np.dot(pt, weights)), 0.0)
                 se = math.sqrt(prob * (1 - prob) / replicates)
                 if abs(freq - prob) > 4 * se:
                     bad.append((c, mu, pt, freq, prob))

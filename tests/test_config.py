@@ -1,7 +1,10 @@
 """Config grammar: defaults, grids, and line-numbered validation errors."""
 
+from pathlib import Path
+
 import pytest
 
+from gtseq import config
 from gtseq.config import DEFAULT_TWO_P_GRID, parse_config
 from gtseq.errors import ConfigError
 
@@ -160,6 +163,12 @@ class TestValidationErrors:
     def test_identify_requires_misclass(self):
         with pytest.raises(ConfigError, match="identify"):
             parse_config("[run]\nmode = identify\nseed = 1\n")
+
+    def test_weak_identify_entry_warns_at_the_gtseq_line_that_built_it(self):
+        text = "[run]\nmode = identify\nseed = 1\n[model]\nfamily = two\nmisclass = 0.5:0.5:0.9:0.9\n"
+        with pytest.warns(UserWarning, match=r"\(specificity1 = 0\.5, sensitivity1 = 0\.5\)") as caught:
+            parse_config(text)
+        assert all(Path(w.filename) == Path(config.__file__) for w in caught)
 
     def test_unknown_estimator_with_line(self):
         text = MINIMAL + "estimators = ub, bogus\n"

@@ -91,8 +91,15 @@ class TestOneDiseaseModelValidation:
             OneDiseaseModel(F(1, 10), 2, 1, F("0.6"), F("0.4"))
 
     def test_weak_test_warns(self):
-        with pytest.warns(UserWarning):
+        # The warning names the weak parameter and points at the line that
+        # built the model, not at the dataclass-generated __init__.
+        with pytest.warns(UserWarning, match=r"\(specificity = 0\.45\)") as caught:
             OneDiseaseModel(0.1, 2, 1, 0.45, 0.99)
+        assert caught[0].filename != "<string>"
+        assert caught[0].filename == __file__
+        with pytest.warns(UserWarning, match=r"\(specificity1 = 1/2, sensitivity2 = 0\.3\)") as caught:
+            IndepErrorParams(F("0.5"), F("0.9"), F("0.9"), 0.3)
+        assert caught[0].filename == __file__
 
     @pytest.mark.parametrize(
         "kwargs",

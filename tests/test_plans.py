@@ -82,6 +82,24 @@ class TestPmf:
         with pytest.raises(DomainError):
             imn_pmf((1,), 1, (-0.1,))
 
+    def test_batch_rows_equal_single_vectors(self):
+        for c, mu in ((1, (0.25,)), (3, (0.25, 0.125)), (2, (0.25, 0.0, 0.125))):
+            points = list(iter_counts(len(mu), 9))
+            batch = imn_pmf(np.array(points), c, mu)
+            assert isinstance(batch, np.ndarray) and batch.shape == (len(points),)
+            assert batch.tolist() == [imn_pmf(x, c, mu) for x in points]
+            assert isinstance(imn_pmf(points[-1], c, mu), float)
+            exact = [float(imn_pmf_exact(x, c, mu)) for x in points]
+            assert batch.tolist() == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_batch_domain_checks(self):
+        with pytest.raises(DomainError, match="does not match"):
+            imn_pmf(np.zeros((4, 3), dtype=int), 1, (0.2, 0.3))
+        with pytest.raises(DomainError, match="negative count"):
+            imn_pmf(np.array([[0, 1], [2, -1]]), 1, (0.2, 0.3))
+        with pytest.raises(DomainError, match="c must be"):
+            imn_pmf(np.array([[0, 1]]), 0, (0.2, 0.3))
+
     def test_normalization_monotone(self):
         mu = (0.25, 0.15)
         partial = 0.0
@@ -217,6 +235,21 @@ class TestTruncatedExpectation:
                 fn, 3, cells[:3], max_total=45, estimator_bound=4.0
             )
             assert abs(result.value - truth) <= 1e-6 + result.tail_bound, component
+
+    def test_batch_sum_matches_pointwise_exact_oracle(self):
+        # The array sum equals a point-by-point sum of the exact estimator.
+        from gtseq.estimators import unbiased_two
+
+        cells = (0.2, 0.15, 0.1)
+        for idx, component in enumerate(("p00", "p10", "p01", "p11")):
+            fn = estimator_callable(EstimatorId.UB_TWO_PERFECT, 2, 3, component=component)
+            result = truncated_expectation(fn, 2, cells, max_total=20)
+            points = list(iter_counts(3, 20))
+            oracle = math.fsum(
+                float(unbiased_two(x, 2, 3)[idx]) * imn_pmf(x, 2, cells) for x in points
+            )
+            assert result.n_points == len(points)
+            assert result.value == pytest.approx(oracle, rel=1e-14, abs=1e-16), component
 
     def test_uncertified_mode_reports_decay(self):
         fn = estimator_callable(
