@@ -12,7 +12,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gtseq.config import DEFAULT_C_GRID, DEFAULT_K_GRID, DEFAULT_P_GRID  # noqa: E402
-from gtseq.model import IndepErrorParams, identifiability, independent_errors  # noqa: E402
+from gtseq.model import (  # noqa: E402
+    IndepErrorParams,
+    OneDiseaseModel,
+    TwoDiseaseModel,
+    identifiability,
+    independent_errors,
+)
 from gtseq.plans import (  # noqa: E402
     FixedTotalPlan,
     StopCountPlan,
@@ -31,13 +37,13 @@ def main() -> int:
     for p in DEFAULT_P_GRID:
         for k in DEFAULT_K_GRID:
             for c in DEFAULT_C_GRID:
-                row = verify_one(p, k, c)
+                row = verify_one(OneDiseaseModel(p, k, c))
                 worst = max(worst, row.error)
                 ok &= row.passed
-                row = verify_one(p, k, c, 0.98, 0.95)
+                row = verify_one(OneDiseaseModel(p, k, c, 0.98, 0.95))
                 worst = max(worst, row.error)
                 ok &= row.passed
-                for two_row in verify_two(p, p, p / 2, k, c):
+                for two_row in verify_two(TwoDiseaseModel(p, p, p / 2, k, c)):
                     worst = max(worst, two_row.error)
                     ok &= two_row.passed
     print(f"  worst |E[estimate] - truth| over the default grid: {worst:.2e}")

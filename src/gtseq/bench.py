@@ -17,16 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ExperimentConfig, GridPoint, identify_params
-from .errors import ConfigError
-from .estimators import (
-    FAMILY,
-    TWO_COMPONENTS,
-    EstimatorId,
-    evaluate,
-    evaluate_table,
-    scan_properness,
-)
+from .config import ExperimentConfig, GridPoint
+from .estimators import TWO_COMPONENTS, EstimatorId, evaluate, evaluate_table, scan_properness
 # Not called here since `evaluate` dispatches; perfbench/spans.py traces these names.
 from .estimators import (  # noqa: F401
     mle_one,
@@ -136,19 +128,16 @@ def _resolve_estimators(point: GridPoint, names: tuple[str, ...]) -> list[Estima
         elif name == "mle":
             out.append(EstimatorId.MLE_ONE if point.family == "one" else EstimatorId.MLE_TWO)
         else:
-            est = EstimatorId(name)
-            if FAMILY[est] != point.family:
-                raise ConfigError(f"estimator {name} does not match family '{point.family}'")
-            out.append(est)
+            out.append(EstimatorId(name))
     return out
 
 
-def _params(point: GridPoint, config: ExperimentConfig) -> dict:
+def _params(point: GridPoint) -> dict:
     """The keyword parameters `evaluate` and `scan_properness` take at a grid point."""
+    model = point.model
     if point.family == "one":
-        specificity, sensitivity = point.misclass or (1.0, 1.0)
-        return dict(specificity=specificity, sensitivity=sensitivity)
-    return dict(misclass=point.misclass_model())
+        return dict(specificity=model.specificity, sensitivity=model.sensitivity)
+    return dict(misclass=model.misclass)
 
 
 def _components(point: GridPoint) -> tuple[str, ...]:
@@ -189,10 +178,10 @@ def _flags(**counts) -> str:
 
 def _simulate_counts(point: GridPoint, config: ExperimentConfig) -> np.ndarray:
     """Terminal counts of the grid point's walks, one replicate per row."""
+    model = point.model
     if point.family == "one":
-        step_probs: tuple[float, ...] = (float(observed_pos_prob(point.one_disease_model())),)
+        step_probs: tuple[float, ...] = (float(observed_pos_prob(model)),)
     else:
-        model = point.two_disease_model()
         probs = pool_cell_probs(model) if model.misclass is None else observed_cell_probs(model)
         step_probs = tuple(float(v) for v in probs[:3])
     seed_seq = np.random.SeedSequence(config.seed, spawn_key=(point.index,))
@@ -204,17 +193,17 @@ def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRec
     if config.replicates == 0:
         return []
     if point.family == "one":
-        truths: tuple[float, ...] = (point.p[0],)
+        truths: tuple[float, ...] = (point.model.p,)
         # A dense table over 0..max_y indexed by the counts is cheaper than np.unique.
         samples, inverse = np.arange(int(counts.max()) + 1)[:, None], counts[:, 0]
     else:
-        truths = tuple(float(v) for v in point.two_disease_model().prevalences())
+        truths = tuple(float(v) for v in point.model.prevalences())
         # One int64 key per sample, ordered as (z10, z01, z11) lexicographically.
         base = int(counts.max()) + 1
         key = (counts[:, 0] * base + counts[:, 1]) * base + counts[:, 2]
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         samples = counts[first]
-    params = _params(point, config)
+    params = _params(point)
     records = []
     for est in _resolve_estimators(point, config.estimators):
         table, clamp_table = evaluate_table(est, samples, point.c, point.k, **params)
@@ -236,7 +225,7 @@ def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRec
 
 
 def _estimate_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
-    params = _params(point, config)
+    params = _params(point)
     records = []
     for est in _resolve_estimators(point, config.estimators):
         for sample in config.samples:
@@ -256,7 +245,7 @@ def _scan_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateReco
     for est in _resolve_estimators(point, config.estimators):
         violations = scan_properness(
             est, point.c, point.k,
-            bound=config.bound, max_violations=config.max_violations, **_params(point, config),
+            bound=config.bound, max_violations=config.max_violations, **_params(point),
         )
         for v in violations:
             records.append(
@@ -270,14 +259,10 @@ def _scan_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateReco
 
 
 def _verify_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
-    rows = []
     if point.family == "one":
-        spec_, sens = point.misclass if point.misclass else (1.0, 1.0)
-        rows = [verify_one(point.p[0], point.k, point.c, spec_, sens, tol=config.tol)]
+        rows = [verify_one(point.model, tol=config.tol)]
     else:
-        if point.misclass is not None:
-            raise ConfigError("verify-unbiased mode covers perfect tests for family 'two'")
-        rows = verify_two(*point.p, point.k, point.c, tol=config.tol or 1e-8)
+        rows = verify_two(point.model, tol=config.tol)
     records = []
     for row in rows:
         detail = (
@@ -312,10 +297,7 @@ def _simulate_point(point: GridPoint, config: ExperimentConfig) -> list[Estimate
 
 def run_identify(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
     records = []
-    for mis in config.misclass_grid:
-        if mis is None:
-            continue
-        params = identify_params(mis)
+    for params in config.identify_entries:
         ok, det = identifiability(independent_errors(params))
         records.append(
             EstimateRecord(
@@ -343,7 +325,7 @@ def run_mode(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
     if config.mode == "identify":
         return run_identify(config)
     runner = _POINT_RUNNERS[config.mode]
-    points = config.grid_points()
+    points = config.points
     threads = config.threads or 1
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

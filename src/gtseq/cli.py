@@ -88,9 +88,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         records, ok = run_mode(config)
-    except ConfigError as exc:
-        print(f"gtseq: config error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except GtseqError as exc:
         print(f"gtseq: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -3,23 +3,19 @@
 Grammar: sections in square brackets ([run] and [model]), one `key = value`
 per line, `#` starts a comment, lists are comma-separated.  Pairs and
 triples inside list items use colons, e.g. `misclass = 1:1, 0.98:0.95` or
-`p = 0.01:0.01:0.005`.  Every error carries the offending line number.
+`p = 0.01:0.01:0.005`.  Every error about a written line carries its number.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .errors import ConfigError
-from .model import (
-    IndepErrorParams,
-    MisclassModel,
-    OneDiseaseModel,
-    TwoDiseaseModel,
-    independent_errors,
-)
+from .estimators import FAMILY, EstimatorId
+from .model import IndepErrorParams, OneDiseaseModel, TwoDiseaseModel, independent_errors
 
 MODES = ("estimate", "verify-unbiased", "scan-properness", "identify", "simulate", "bench")
 FORMATS = ("csv", "jsonl")
@@ -30,7 +26,6 @@ FAMILIES = ("one", "two")
 DEFAULT_P_GRID = (0.01, 0.05, 0.1)
 DEFAULT_K_GRID = (2, 5, 10)
 DEFAULT_C_GRID = (1, 5, 20)
-DEFAULT_MISCLASS_ONE = ((1.0, 1.0), (0.98, 0.95))
 DEFAULT_TWO_P_GRID = tuple((p, p, p / 2) for p in DEFAULT_P_GRID)
 
 DEFAULT_REPLICATES = 100_000
@@ -39,7 +34,7 @@ DEFAULT_SCAN_BOUND = 100
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One fully validated parameter point of the experiment grid."""
+    """One parameter point of the experiment grid and the model it validated into."""
 
     index: int
     family: str
@@ -47,19 +42,26 @@ class GridPoint:
     k: int
     c: int
     misclass: tuple[float, ...] | None  # (pi0, pi1) or (pi0_1, pi1_1, pi0_2, pi1_2)
+    model: OneDiseaseModel | TwoDiseaseModel
 
-    def one_disease_model(self) -> OneDiseaseModel:
-        spec_, sens = self.misclass if self.misclass else (1.0, 1.0)
-        return OneDiseaseModel(self.p[0], self.k, self.c, spec_, sens)
-
-    def misclass_model(self) -> MisclassModel | None:
-        if self.family == "two" and self.misclass is not None:
-            return independent_errors(IndepErrorParams(*self.misclass))
-        return None
-
-    def two_disease_model(self) -> TwoDiseaseModel:
-        p10, p01, p11 = self.p
-        return TwoDiseaseModel(p10, p01, p11, self.k, self.c, self.misclass_model())
+    @classmethod
+    def build(
+        cls, index: int, family: str, p: tuple, k: int, c: int, misclass: tuple | None
+    ) -> GridPoint:
+        """Build the point's model; a parameter it rejects becomes a ConfigError."""
+        try:
+            if family == "one":
+                model = OneDiseaseModel(p[0], k, c, *(misclass or ()))
+            else:
+                errors = None
+                if misclass is not None:
+                    errors = independent_errors(IndepErrorParams(*misclass))
+                model = TwoDiseaseModel(*p, k, c, errors)
+        except ValueError as exc:
+            raise ConfigError(
+                f"invalid grid point p={p} k={k} c={c} misclass={misclass}: {exc}"
+            ) from exc
+        return cls(index, family, p, k, c, misclass, model)
 
 
 @dataclass
@@ -81,15 +83,31 @@ class ExperimentConfig:
     max_violations: int | None = None
     samples: tuple = ()
 
-    def grid_points(self) -> list[GridPoint]:
-        """Row-major cartesian product: p outermost, then k, c, misclass."""
-        points = []
-        for idx, (p, k, c, mis) in enumerate(
-            itertools.product(self.p_grid, self.k_grid, self.c_grid, self.misclass_grid)
-        ):
-            pvec = p if isinstance(p, tuple) else (p,)
-            points.append(GridPoint(idx, self.family, pvec, k, c, mis))
-        return points
+    @cached_property
+    def points(self) -> list[GridPoint]:
+        """Row-major cartesian product: p outermost, then k, c, misclass; built once."""
+        return [
+            GridPoint.build(idx, self.family, p if isinstance(p, tuple) else (p,), k, c, mis)
+            for idx, (p, k, c, mis) in enumerate(
+                itertools.product(self.p_grid, self.k_grid, self.c_grid, self.misclass_grid)
+            )
+        ]
+
+    @cached_property
+    def identify_entries(self) -> list[IndepErrorParams]:
+        """Per-trait errors of each identify-mode misclass entry; a pair leaves trait 2 perfect."""
+        entries = []
+        for mis in self.misclass_grid:
+            if mis is None:
+                continue
+            try:
+                if len(mis) == 4:
+                    entries.append(IndepErrorParams(*mis))
+                else:
+                    entries.append(IndepErrorParams(*mis, 1.0, 1.0))
+            except ValueError as exc:
+                raise ConfigError(f"invalid misclass parameters {mis}: {exc}") from exc
+        return entries
 
 
 def _parse_entries(text: str) -> dict[tuple[str, str], tuple[str, int]]:
@@ -162,11 +180,7 @@ _RUN_KEYS = {
 }
 _MODEL_KEYS = {"family", "p", "k", "c", "misclass", "estimators", "y", "z"}
 
-_KNOWN_ESTIMATORS = {
-    "ub", "mle",
-    "UB_ONE_PERFECT", "UB_ONE_MISCLASS", "UB_TWO_PERFECT",
-    "UB_TWO_MISCLASS_SERIES", "MLE_ONE", "MLE_TWO",
-}
+_KNOWN_ESTIMATORS = {"ub", "mle", *(est.value for est in EstimatorId)}
 
 
 def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfig:
@@ -276,6 +290,8 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
                 grid.append(_parse_tuple(item, lineno, "misclass", 4))
         if not grid:
             raise ConfigError("misclass grid must be non-empty", lineno)
+        if mode == "verify-unbiased" and family == "two" and any(m is not None for m in grid):
+            raise ConfigError("verify-unbiased mode covers perfect tests for family 'two'", lineno)
         cfg["misclass_grid"] = tuple(grid)
     elif mode == "identify":
         raise ConfigError("identify mode requires a 'misclass' grid in [model]")
@@ -286,6 +302,8 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
         for name in names:
             if name not in _KNOWN_ESTIMATORS:
                 raise ConfigError(f"unknown estimator {name!r}", lineno)
+            if name not in ("ub", "mle") and FAMILY[EstimatorId(name)] != family:
+                raise ConfigError(f"estimator {name} does not match family '{family}'", lineno)
         if not names:
             raise ConfigError("estimators list must be non-empty", lineno)
         cfg["estimators"] = names
@@ -309,41 +327,9 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
         raise ConfigError(f"estimate mode requires sample points ('{sample_key}' in [model])")
 
     config = ExperimentConfig(**cfg)
-    _validate_models(config)
+    # Building the models is the validation; the run reuses the cached objects.
+    _ = config.identify_entries if mode == "identify" else config.points
     return config
-
-
-def identify_params(mis: tuple[float, ...]) -> IndepErrorParams:
-    """The per-trait errors of an identify-mode misclass entry; a pair leaves trait 2 perfect.
-
-    Validation and the identify run both build them here, so a weak-test
-    warning is reported once, at this line.
-    """
-    return IndepErrorParams(*mis) if len(mis) == 4 else IndepErrorParams(mis[0], mis[1], 1.0, 1.0)
-
-
-def _validate_models(config: ExperimentConfig) -> None:
-    """Run every grid point through the model constructors before any run."""
-    if config.mode == "identify":
-        for mis in config.misclass_grid:
-            if mis is None:
-                continue
-            try:
-                independent_errors(identify_params(mis))
-            except ValueError as exc:
-                raise ConfigError(f"invalid misclass parameters {mis}: {exc}") from exc
-        return
-    for point in config.grid_points():
-        try:
-            if config.family == "one":
-                point.one_disease_model()
-            else:
-                point.two_disease_model()
-        except ValueError as exc:
-            raise ConfigError(
-                f"invalid grid point p={point.p} k={point.k} c={point.c} "
-                f"misclass={point.misclass}: {exc}"
-            ) from exc
 
 
 def load_config(path: str, mode_override: str | None = None) -> ExperimentConfig:

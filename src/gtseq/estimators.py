@@ -32,6 +32,7 @@ from .model import MisclassModel
 # Not called since mle_two_table inverts every sample at once; perfbench/spans.py traces this name.
 from .model import invert_cell_probs  # noqa: F401
 from .numerics import Number, Scale, as_fraction
+from .plans import iter_counts
 from .series import _two_disease_affine_forms
 # Not called since the coefficient kernel replaced them; perfbench/spans.py traces these names.
 from .series import estimator_series_two, unbiased_exact, unbiased_from_series  # noqa: F401
@@ -452,14 +453,6 @@ def _simplex_violations(
     return out
 
 
-def _iter_simplex_counts(bound: int):
-    """All (z10, z01, z11) with total <= bound in lexicographic order."""
-    for z10 in range(bound + 1):
-        for z01 in range(bound + 1 - z10):
-            for z11 in range(bound + 1 - z10 - z01):
-                yield (z10, z01, z11)
-
-
 def scan_properness(
     estimator: EstimatorId,
     c: int,
@@ -500,7 +493,7 @@ def scan_properness(
             hit = _one_disease_violation(y, c, k, spec_, sens)
             return [] if hit is None else [hit]
     else:
-        points = _iter_simplex_counts(bound)
+        points = iter_counts(3, bound)
 
         def check(z):
             values, _ = evaluate(estimator, z, c, k, misclass=misclass)

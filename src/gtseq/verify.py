@@ -21,6 +21,7 @@ import numpy as np
 
 from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable, pool_factor_table
 from .estimators import unbiased_one_misclass
+from .errors import ModelError
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
 from .plans import imn_pmf, negbin_tail, truncated_expectation
 
@@ -73,18 +74,9 @@ def stopping_quantile(c: int, mu0: float, tail_target: float, cap: int = 4000) -
     return n
 
 
-def verify_one(
-    p: float,
-    k: int,
-    c: int,
-    specificity: float = 1.0,
-    sensitivity: float = 1.0,
-    *,
-    tol: float | None = None,
-    cap: int = 4000,
-) -> VerifyRow:
+def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4000) -> VerifyRow:
     """Check E[p_hat] = p for the one-disease unbiased estimator."""
-    model = OneDiseaseModel(p, k, c, specificity, sensitivity)
+    k, c = model.k, model.c
     theta = float(observed_pos_prob(model))
     mu0 = 1.0 - theta
     if model.is_perfect_test:
@@ -102,7 +94,7 @@ def verify_one(
         return VerifyRow(
             estimator=EstimatorId.UB_ONE_PERFECT.value,
             component="p",
-            target=p,
+            target=float(model.p),
             value=result.value,
             tol=tol,
             tail_bound=result.tail_bound,
@@ -120,7 +112,7 @@ def verify_one(
     mean_total = c * theta / max(mu0, 1e-12)
     y = 0
     while y <= cap:
-        est = float(unbiased_one_misclass(y, c, k, specificity, sensitivity))
+        est = float(unbiased_one_misclass(y, c, k, model.specificity, model.sensitivity))
         contrib = est * pmf
         contributions.append(contrib)
         magnitude = abs(contrib)
@@ -137,7 +129,7 @@ def verify_one(
     return VerifyRow(
         estimator=EstimatorId.UB_ONE_MISCLASS.value,
         component="p",
-        target=p,
+        target=float(model.p),
         value=value,
         tol=tol,
         tail_bound=None,
@@ -148,23 +140,19 @@ def verify_one(
 
 
 def verify_two(
-    p10: float,
-    p01: float,
-    p11: float,
-    k: int,
-    c: int,
-    *,
-    tol: float = 1e-8,
-    cap: int = 3000,
+    model: TwoDiseaseModel, *, tol: float | None = None, cap: int = 3000
 ) -> list[VerifyRow]:
     """Check E[p_hat] = p componentwise for the two-disease unbiased estimator.
 
-    Sums are taken over sum(z) <= N with N chosen so the certified tail is
-    below tol/2.  The leading component depends only on the total count and
-    each cross component only on (own count, sum of the other two), so the
-    sums run over 1-d/2-d collapses of the count lattice.
+    Covers perfect tests only.  Sums are taken over sum(z) <= N with N chosen
+    so the certified tail is below tol/2.  The leading component depends only
+    on the total count and each cross component only on (own count, sum of
+    the other two), so the sums run over 1-d/2-d collapses of the count lattice.
     """
-    model = TwoDiseaseModel(p10, p01, p11, k, c)
+    if model.misclass is not None:
+        raise ModelError("verify_two covers perfect tests; the model carries misclassification")
+    tol = 1e-8 if tol is None else tol
+    k, c = model.k, model.c
     cells = tuple(float(v) for v in pool_cell_probs(model))
     t10, t01, t11, mu0 = cells
     aim = tol / (2 * TWO_COMPONENT_BOUND)

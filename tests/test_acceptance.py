@@ -33,6 +33,8 @@ from gtseq.estimators import (
 )
 from gtseq.model import (
     IndepErrorParams,
+    OneDiseaseModel,
+    TwoDiseaseModel,
     identifiability,
     independent_errors,
 )
@@ -119,14 +121,14 @@ class TestCriterion2Unbiasedness:
         start = time.time()
         failures = []
         for p, k, c in itertools.product(DEFAULT_P_GRID, DEFAULT_K_GRID, DEFAULT_C_GRID):
-            row = verify_one(p, k, c, tol=1e-8)
+            row = verify_one(OneDiseaseModel(p, k, c), tol=1e-8)
             if not (row.certified and row.passed):
                 failures.append(("one-perfect", p, k, c, row.error))
-            row = verify_one(p, k, c, 0.98, 0.95, tol=1e-6)
+            row = verify_one(OneDiseaseModel(p, k, c, 0.98, 0.95), tol=1e-6)
             if not (row.passed and row.decay_ratio is not None):
                 failures.append(("one-misclass", p, k, c, row.error))
         for pvec, k, c in itertools.product(DEFAULT_TWO_P_GRID, DEFAULT_K_GRID, DEFAULT_C_GRID):
-            for row in verify_two(*pvec, k, c, tol=1e-8):
+            for row in verify_two(TwoDiseaseModel(*pvec, k, c), tol=1e-8):
                 if not (row.certified and row.passed):
                     failures.append(("two-perfect", pvec, k, c, row.component, row.error))
         elapsed = time.time() - start

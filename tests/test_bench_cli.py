@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -246,6 +247,18 @@ c = 1, 3
         records, ok = run_mode(parse_config(text))
         assert ok
         assert all("ok" in r.flags for r in records)
+
+
+@pytest.mark.parametrize("mode", ["bench", "verify-unbiased"])
+def test_weak_grid_point_warns_once(mode):
+    # parse_config builds the grid point's model; run_mode must not build it again.
+    text = f"[run]\nmode = {mode}\nseed = 1\nreplicates = 200\n" \
+           "[model]\np = 0.05\nk = 2\nc = 1\nmisclass = 0.45:0.99\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_mode(parse_config(text))
+    weak = [w for w in caught if "misclassification parameter <= 0.5" in str(w.message)]
+    assert len(weak) == 1 and weak[0].category is UserWarning
 
 
 class TestCli:

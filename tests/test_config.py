@@ -41,7 +41,7 @@ class TestParsing:
 
     def test_grid_row_major_order(self):
         text = MINIMAL.replace("p = 0.05", "p = 0.01, 0.05, 0.1").replace("k = 10", "k = 5, 10")
-        points = parse_config(text).grid_points()
+        points = parse_config(text).points
         assert len(points) == 6
         assert [(pt.p[0], pt.k) for pt in points] == [
             (0.01, 5), (0.01, 10), (0.05, 5), (0.05, 10), (0.1, 5), (0.1, 10),
@@ -144,11 +144,14 @@ class TestValidationErrors:
 
     def test_estimator_family_mismatch(self):
         text = MINIMAL + "estimators = MLE_TWO\n"
-        cfg = parse_config(text)
-        from gtseq.bench import run_mode
+        with pytest.raises(ConfigError, match=r"line 9: estimator MLE_TWO does not match family"):
+            parse_config(text)
 
-        with pytest.raises(ConfigError, match="does not match family"):
-            run_mode(cfg)
+    def test_two_trait_verify_with_misclassification_rejected(self):
+        text = ("[run]\nmode = verify-unbiased\nseed = 1\n[model]\nfamily = two\n"
+                "p = 0.1:0.1:0.05\nk = 2\nc = 1\nmisclass = identity, 0.98:0.95:0.97:0.9\n")
+        with pytest.raises(ConfigError, match=r"line 9: verify-unbiased mode covers perfect tests"):
+            parse_config(text)
 
     def test_estimate_mode_requires_samples(self):
         text = MINIMAL.replace("mode = bench", "mode = estimate")

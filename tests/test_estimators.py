@@ -14,7 +14,6 @@ from gtseq.estimators import (
     TWO_COMPONENTS,
     EstimatorId,
     ViolationKind,
-    _iter_simplex_counts,
     estimator_callable,
     evaluate,
     evaluate_table,
@@ -29,7 +28,7 @@ from gtseq.estimators import (
     unbiased_two_misclass,
 )
 from gtseq.model import IndepErrorParams, MisclassModel, independent_errors, invert_cell_probs
-from gtseq.plans import truncated_expectation
+from gtseq.plans import iter_counts, truncated_expectation
 from gtseq.series import (
     estimator_series_one,
     estimator_series_two,
@@ -189,7 +188,7 @@ class TestUnbiasedTwoMisclass:
         # against the truncated-series construction, value and type alike.
         mis = independent_errors(IndepErrorParams(*(F(m) for m in margins)))
         gs = {name: estimator_series_two(k, c, 8, name, mis) for name in ("00", "10", "01")}
-        for z in _iter_simplex_counts(8):
+        for z in iter_counts(3, 8):
             want = []
             for name in ("00", "10", "01"):
                 exact = unbiased_exact(gs[name], c, z)
@@ -343,7 +342,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("k, c", [(1, 1), (2, 1), (3, 4)])
     def test_two_trait_table_matches_exact(self, k, c):
-        samples = np.array(list(_iter_simplex_counts(30)))
+        samples = np.array(list(iter_counts(3, 30)))
         values, clamped = evaluate_table(EstimatorId.UB_TWO_PERFECT, samples, c, k)
         assert values.shape == (len(samples), 4) and not clamped.any()
         for z, row in zip(map(tuple, samples.tolist()), values):
@@ -353,7 +352,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     @pytest.mark.parametrize("c", [1, 5, 20])
     def test_mle_two_table_equals_scalar_inversion_bitwise(self, c, k):
-        samples = np.array(list(_iter_simplex_counts(40)))
+        samples = np.array(list(iter_counts(3, 40)))
         values, clamped = evaluate_table(EstimatorId.MLE_TWO, samples, c, k)
         for z, row, flag in zip(map(tuple, samples.tolist()), values.tolist(), clamped.tolist()):
             total = c + sum(z)

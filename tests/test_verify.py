@@ -5,7 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from gtseq.estimators import EstimatorId, estimator_callable
-from gtseq.model import TwoDiseaseModel, pool_cell_probs
+from gtseq.errors import ModelError
+from gtseq.model import (
+    IndepErrorParams,
+    OneDiseaseModel,
+    TwoDiseaseModel,
+    independent_errors,
+    pool_cell_probs,
+)
 from gtseq.plans import imn_pmf_exact, truncated_expectation
 from gtseq.verify import stopping_quantile, verify_one, verify_two
 
@@ -22,12 +29,12 @@ class TestStoppingQuantile:
 
 class TestVerifyOne:
     def test_perfect_certified(self):
-        row = verify_one(0.05, 5, 2)
+        row = verify_one(OneDiseaseModel(0.05, 5, 2))
         assert row.certified and row.passed
         assert row.error <= 1e-8 + row.tail_bound
 
     def test_misclassified_decay_mode(self):
-        row = verify_one(0.05, 5, 2, 0.98, 0.95)
+        row = verify_one(OneDiseaseModel(0.05, 5, 2, 0.98, 0.95))
         assert not row.certified
         assert row.decay_ratio is not None and row.decay_ratio < 1
         assert row.passed and row.error <= 1e-6
@@ -35,12 +42,12 @@ class TestVerifyOne:
     def test_capped_truncation_fails(self):
         # mu0**c underflows, so the truncation total runs to its cap and the
         # tail bound is about 1: the row must not pass on error <= tol + tail.
-        row = verify_one(0.5, 10, 300, cap=50)
+        row = verify_one(OneDiseaseModel(0.5, 10, 300), cap=50)
         assert row.certified and row.max_total == 50 and row.tail_bound > 0.5
         assert not row.passed
 
     def test_failure_reported_not_hidden(self):
-        row = verify_one(0.05, 5, 2, 0.98, 0.95, tol=1e-30)
+        row = verify_one(OneDiseaseModel(0.05, 5, 2, 0.98, 0.95), tol=1e-30)
         assert not row.passed
 
 
@@ -64,7 +71,7 @@ class TestCollapseIdentity:
     @pytest.mark.parametrize("component", ["p00", "p10", "p01", "p11"])
     def test_verify_two_matches_generic_enumeration(self, component):
         model = TwoDiseaseModel(0.1, 0.1, 0.05, 2, 1)
-        rows = {r.component: r for r in verify_two(0.1, 0.1, 0.05, 2, 1)}
+        rows = {r.component: r for r in verify_two(model)}
         row = rows[component]
         cells = tuple(float(v) for v in pool_cell_probs(model))
         fn = estimator_callable(EstimatorId.UB_TWO_PERFECT, 1, 2, component=component)
@@ -74,12 +81,17 @@ class TestCollapseIdentity:
 
 class TestVerifyTwo:
     def test_all_components_pass(self):
-        rows = verify_two(0.1, 0.1, 0.05, 2, 3)
+        rows = verify_two(TwoDiseaseModel(0.1, 0.1, 0.05, 2, 3))
         assert {r.component for r in rows} == {"p00", "p10", "p01", "p11"}
         for row in rows:
             assert row.certified and row.passed, row.component
 
+    def test_misclassified_model_rejected(self):
+        errors = independent_errors(IndepErrorParams(0.98, 0.95, 0.97, 0.9))
+        with pytest.raises(ModelError, match="perfect tests"):
+            verify_two(TwoDiseaseModel(0.1, 0.1, 0.05, 2, 3, errors))
+
     def test_heavy_cell_still_certified(self):
-        rows = verify_two(0.1, 0.1, 0.05, 10, 20)
+        rows = verify_two(TwoDiseaseModel(0.1, 0.1, 0.05, 10, 20))
         for row in rows:
             assert row.passed, (row.component, row.error, row.tail_bound)
