@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ExperimentConfig, GridPoint
-from .estimators import TWO_COMPONENTS, EstimatorId, evaluate, evaluate_table, scan_properness
+from .config import ExperimentConfig, GridPoint, resolve_estimators
+from .estimators import TWO_COMPONENTS, evaluate, evaluate_table, scan_properness
 # Not called here since `evaluate` dispatches; perfbench/spans.py traces these names.
 from .estimators import (  # noqa: F401
     mle_one,
@@ -110,26 +110,8 @@ def render_records(records, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Estimator resolution and parameters
+# Per-point parameters
 # ---------------------------------------------------------------------------
-
-
-def _resolve_estimators(point: GridPoint, names: tuple[str, ...]) -> list[EstimatorId]:
-    perfect = point.misclass is None or all(v == 1 for v in point.misclass)
-    out: list[EstimatorId] = []
-    for name in names:
-        if name == "ub":
-            if point.family == "one":
-                out.append(EstimatorId.UB_ONE_PERFECT if perfect else EstimatorId.UB_ONE_MISCLASS)
-            else:
-                out.append(
-                    EstimatorId.UB_TWO_PERFECT if perfect else EstimatorId.UB_TWO_MISCLASS_SERIES
-                )
-        elif name == "mle":
-            out.append(EstimatorId.MLE_ONE if point.family == "one" else EstimatorId.MLE_TWO)
-        else:
-            out.append(EstimatorId(name))
-    return out
 
 
 def _params(point: GridPoint) -> dict:
@@ -182,7 +164,7 @@ def _simulate_counts(point: GridPoint, config: ExperimentConfig) -> np.ndarray:
     if point.family == "one":
         step_probs: tuple[float, ...] = (float(observed_pos_prob(model)),)
     else:
-        probs = pool_cell_probs(model) if model.misclass is None else observed_cell_probs(model)
+        probs = pool_cell_probs(model) if model.is_perfect_test else observed_cell_probs(model)
         step_probs = tuple(float(v) for v in probs[:3])
     seed_seq = np.random.SeedSequence(config.seed, spawn_key=(point.index,))
     return simulate_imn_counts(point.c, step_probs, config.replicates, seed_seq)
@@ -205,7 +187,7 @@ def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRec
         samples = counts[first]
     params = _params(point)
     records = []
-    for est in _resolve_estimators(point, config.estimators):
+    for est in resolve_estimators(point, config.estimators):
         table, clamp_table = evaluate_table(est, samples, point.c, point.k, **params)
         values = table[inverse]
         flags = _flags(
@@ -227,7 +209,7 @@ def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRec
 def _estimate_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
     params = _params(point)
     records = []
-    for est in _resolve_estimators(point, config.estimators):
+    for est in resolve_estimators(point, config.estimators):
         for sample in config.samples:
             label = ":".join(str(v) for v in sample)
             values, clamped = evaluate(est, sample, point.c, point.k, **params)
@@ -242,7 +224,7 @@ def _estimate_point(point: GridPoint, config: ExperimentConfig) -> list[Estimate
 
 def _scan_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
     records = []
-    for est in _resolve_estimators(point, config.estimators):
+    for est in resolve_estimators(point, config.estimators):
         violations = scan_properness(
             est, point.c, point.k,
             bound=config.bound, max_violations=config.max_violations, **_params(point),

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .bench import run_mode, write_records
-from .config import MODES, load_config
+from .config import FORMATS, MODES, load_config
 from .errors import ConfigError, GtseqError
 
 EXIT_OK = 0
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         mode_parser = sub.add_parser(mode, help=_MODE_HELP[mode])
         mode_parser.add_argument("--config", required=True, help="experiment config file")
         mode_parser.add_argument("--out", default=None, help="output path (default: stdout)")
-        mode_parser.add_argument("--format", choices=("csv", "jsonl"), default=None)
+        mode_parser.add_argument("--format", choices=FORMATS, default=None)
         mode_parser.add_argument("--seed", type=int, default=None, help="override config seed")
         mode_parser.add_argument(
             "--threads", type=int, default=None,

@@ -1,9 +1,9 @@
 """Experiment configuration: the key = value grammar and its validation.
 
 Grammar: sections in square brackets ([run] and [model]), one `key = value`
-per line, `#` starts a comment, lists are comma-separated.  Pairs and
-triples inside list items use colons, e.g. `misclass = 1:1, 0.98:0.95` or
-`p = 0.01:0.01:0.005`.  Every error about a written line carries its number.
+per line, `#` comments, comma-separated lists whose items may be colon-separated
+tuples (`misclass = 1:1, 0.98:0.95`).  Every error about a written line
+carries its number; a rejected grid point names its `p` or `misclass` line.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Any
 
 from .errors import ConfigError
-from .estimators import FAMILY, EstimatorId
+from .estimators import FAMILY, EstimatorId, _two_misclass_forms, positive_nu
 from .model import IndepErrorParams, OneDiseaseModel, TwoDiseaseModel, independent_errors
 
 MODES = ("estimate", "verify-unbiased", "scan-properness", "identify", "simulate", "bench")
@@ -108,6 +108,39 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"invalid misclass parameters {mis}: {exc}") from exc
         return entries
+
+
+# What `ub` and `mle` name at a grid point, by (family, perfect test).
+_ALIASES = {
+    ("one", True): (EstimatorId.UB_ONE_PERFECT, EstimatorId.MLE_ONE),
+    ("one", False): (EstimatorId.UB_ONE_MISCLASS, EstimatorId.MLE_ONE),
+    ("two", True): (EstimatorId.UB_TWO_PERFECT, EstimatorId.MLE_TWO),
+    ("two", False): (EstimatorId.UB_TWO_MISCLASS_SERIES, EstimatorId.MLE_TWO),
+}
+
+
+def resolve_estimators(point: GridPoint, names: tuple[str, ...]) -> list[EstimatorId]:
+    """The estimators `names` pick at a point; `ub` and `mle` follow its family and test."""
+    ub, mle = _ALIASES[point.family, point.model.is_perfect_test]
+    return [ub if name == "ub" else mle if name == "mle" else EstimatorId(name) for name in names]
+
+
+def _check_runnable(config: ExperimentConfig, lineno: int | None) -> None:
+    """Reject, at the misclass line, a grid point that an estimator of the run cannot take."""
+    verify = config.mode == "verify-unbiased"
+    for point in config.points:
+        if verify and point.family == "two" and not point.model.is_perfect_test:
+            raise ConfigError("verify-unbiased mode covers perfect tests for family 'two'", lineno)
+        # Each estimator's own precondition decides; verify-unbiased runs `ub` only.
+        for est in resolve_estimators(point, ("ub",) if verify else config.estimators):
+            try:
+                if est in (EstimatorId.UB_ONE_MISCLASS, EstimatorId.MLE_ONE):
+                    positive_nu(point.model.specificity, point.model.sensitivity)
+                elif est is EstimatorId.UB_TWO_MISCLASS_SERIES:
+                    _two_misclass_forms(point.k, point.model.misclass)
+            except ValueError as exc:
+                msg = f"estimator {est.value} cannot run at misclass={point.misclass}: {exc}"
+                raise ConfigError(msg, lineno) from exc
 
 
 def _parse_entries(text: str) -> dict[tuple[str, str], tuple[str, int]]:
@@ -290,8 +323,6 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
                 grid.append(_parse_tuple(item, lineno, "misclass", 4))
         if not grid:
             raise ConfigError("misclass grid must be non-empty", lineno)
-        if mode == "verify-unbiased" and family == "two" and any(m is not None for m in grid):
-            raise ConfigError("verify-unbiased mode covers perfect tests for family 'two'", lineno)
         cfg["misclass_grid"] = tuple(grid)
     elif mode == "identify":
         raise ConfigError("identify mode requires a 'misclass' grid in [model]")
@@ -327,8 +358,15 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
         raise ConfigError(f"estimate mode requires sample points ('{sample_key}' in [model])")
 
     config = ExperimentConfig(**cfg)
-    # Building the models is the validation; the run reuses the cached objects.
-    _ = config.identify_entries if mode == "identify" else config.points
+    try:
+        # Building the models is the validation; the run reuses the cached objects.
+        _ = config.identify_entries if mode == "identify" else config.points
+    except ConfigError as exc:
+        # A model check names what it rejects: a prevalence (p, p10, ...) or an error rate.
+        key = "p" if str(exc.__cause__).startswith("p") else "misclass"
+        raise ConfigError(str(exc), get("model", key)[1]) from exc.__cause__
+    if mode in ("bench", "estimate", "scan-properness", "verify-unbiased"):
+        _check_runnable(config, raw_mis[1] if raw_mis else None)
     return config
 
 

@@ -126,6 +126,14 @@ def unbiased_one(y: int, c: int, k: int) -> Fraction:
     return 1 - _descending_pool_product(k, c, 0, y)
 
 
+def positive_nu(specificity: Number, sensitivity: Number) -> Number:
+    """nu = specificity + sensitivity - 1; the one-trait misclassified estimators need it positive."""
+    nu = specificity + sensitivity - 1
+    if nu <= 0:
+        raise IdentifiabilityError(f"specificity + sensitivity - 1 must be positive, got {nu}")
+    return nu
+
+
 def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: int) -> Fraction:
     """The series estimator's value at sample point x for a radicand a0 (1 + b.mu), less a0^(1/k).
 
@@ -165,11 +173,8 @@ def unbiased_one_misclass_parts(
     and bound checks can be done exactly by comparing k-th powers.  S(y) is
     the series coefficient of the radicand 1 - v/sens at v^y.
     """
-    spec_ = as_fraction(specificity)
     sens = as_fraction(sensitivity)
-    nu = spec_ + sens - 1
-    if nu <= 0:
-        raise IdentifiabilityError(f"specificity + sensitivity - 1 must be positive, got {nu}")
+    nu = positive_nu(as_fraction(specificity), sens)
     s = _series_coefficient((-1 / sens,), (y,), c, k)
     return Fraction(1), Scale(-s, sens / nu, Fraction(1, k))
 
@@ -202,11 +207,8 @@ def mle_one(
 
     Proper by construction; clamping to [0, 1] is reported, not silent.
     """
-    spec_ = float(specificity)
     sens = float(sensitivity)
-    nu = spec_ + sens - 1
-    if nu <= 0:
-        raise IdentifiabilityError(f"specificity + sensitivity - 1 must be positive, got {nu}")
+    nu = positive_nu(float(specificity), sens)
     v_hat = y / (c + y)
     radicand = (sens - v_hat) / nu
     if radicand <= 0:
@@ -246,10 +248,9 @@ def unbiased_two(
 @lru_cache(maxsize=64)
 def _two_misclass_forms(k: int, misclass: MisclassModel | None) -> dict[str, tuple[Scale, tuple]]:
     """Per component 00/10/01: the a0^(1/k) scale and normalized slope b = a/a0 of its radicand."""
-    forms, _ = _two_disease_affine_forms(misclass)
     return {
         name: (Scale(1, a0, Fraction(1, k)), tuple(a / a0 for a in linear))
-        for name, (a0, linear) in forms.items()
+        for name, (a0, linear) in _two_disease_affine_forms(misclass).items()
     }
 
 
@@ -425,14 +426,12 @@ def _one_disease_violation(
         if p_hat > 1:
             return PropernessViolation((y,), "p", float(p_hat), ViolationKind.ABOVE_ONE)
         return None
-    nu = specificity + sensitivity - 1
-    s = _series_coefficient((-1 / sensitivity,), (y,), c, k)
-    # p_hat = 1 - (sens/nu)^(1/k) * s ; compare via k-th powers, exactly.
-    if s < 0:
-        value = 1 + float(Scale(-s, sensitivity / nu, Fraction(1, k)))
+    const, radical = unbiased_one_misclass_parts(y, c, k, specificity, sensitivity)
+    # p_hat = 1 + coeff * base^(1/k) with base > 0 (base = 1 once folded); compare k-th powers.
+    value = float(const) + float(radical)
+    if radical.coeff > 0:
         return PropernessViolation((y,), "p", value, ViolationKind.ABOVE_ONE)
-    if s > 0 and (sensitivity / nu) * s ** k > 1:
-        value = 1 + float(Scale(-s, sensitivity / nu, Fraction(1, k)))
+    if (-radical.coeff) ** k * radical.base > 1:
         return PropernessViolation((y,), "p", value, ViolationKind.BELOW_ZERO)
     return None
 

@@ -274,6 +274,10 @@ class TwoDiseaseModel:
     def prevalences(self) -> tuple[Number, Number, Number, Number]:
         return (self.p00, self.p10, self.p01, self.p11)
 
+    @property
+    def is_perfect_test(self) -> bool:
+        return self.misclass is None or self.misclass == MisclassModel.identity()
+
 
 def pool_cell_probs(model: TwoDiseaseModel) -> tuple[Number, Number, Number, Number]:
     """True pooled-outcome probabilities (cell10, cell01, cell11, cell00).

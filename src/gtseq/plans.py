@@ -112,10 +112,8 @@ class FixedTotalPlan(SamplingPlan):
         return sum(point) == self.total
 
     def boundary_points(self) -> Iterator[Point]:
-        for head in itertools.product(range(self.total + 1), repeat=self.dim - 1):
-            rest = self.total - sum(head)
-            if rest >= 0:
-                yield head + (rest,)
+        for head in iter_counts(self.dim - 1, self.total):
+            yield head + (self.total - sum(head),)
 
 
 @dataclass(frozen=True)

@@ -19,28 +19,15 @@ are evaluated exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, IdentifiabilityError, InsufficientOrderError
 from .numerics import ONE, Number, Scale, as_fraction
+from .plans import iter_counts
 
 MultiIndex = tuple[int, ...]
-
-
-def iter_multiindices(dim: int, max_total: int):
-    """All exponent tuples of length dim with total degree <= max_total."""
-    if dim == 1:
-        for d in range(max_total + 1):
-            yield (d,)
-        return
-    for d in range(max_total + 1):
-        for head in itertools.product(range(d + 1), repeat=dim - 1):
-            s = sum(head)
-            if s <= d:
-                yield head + (d - s,)
 
 
 class TruncatedSeries:
@@ -83,17 +70,11 @@ class TruncatedSeries:
             )
         return self._coeffs.get(index, Fraction(0))
 
-    def items(self):
-        return self._coeffs.items()
-
     def truncate(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return TruncatedSeries(self.dim, order, self._coeffs)
         kept = {k: v for k, v in self._coeffs.items() if sum(k) <= order}
         return TruncatedSeries(self.dim, order, kept)
-
-    def map_coeffs(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(self.dim, self.order, {k: fn(v) for k, v in self._coeffs.items()})
 
     def _check_dim(self, other: "TruncatedSeries"):
         if self.dim != other.dim:
@@ -109,15 +90,10 @@ class TruncatedSeries:
         return TruncatedSeries(self.dim, order, out)
 
     def __neg__(self) -> "TruncatedSeries":
-        return self.map_coeffs(lambda v: -v)
+        return TruncatedSeries(self.dim, self.order, {k: -v for k, v in self._coeffs.items()})
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
-
-    def scaled(self, factor: Number) -> "TruncatedSeries":
-        if factor == 0:
-            return TruncatedSeries(self.dim, self.order, {})
-        return self.map_coeffs(lambda v: v * factor)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_dim(other)
@@ -231,7 +207,7 @@ def expand_affine_power(spec: AffinePowerSpec, order: int) -> ScaledSeries:
     if nsup == 0:
         coeffs[(0,) * dim] = genbin[0]
         return ScaledSeries(Scale(1, a0, xi), TruncatedSeries(dim, order, coeffs))
-    for degs in iter_multiindices(nsup, order):
+    for degs in iter_counts(nsup, order):
         d = sum(degs)
         if genbin[d] == 0:
             continue
@@ -328,8 +304,8 @@ def unbiased_exact(g, c: int, x: MultiIndex) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 
-def _inv3(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], Fraction]:
-    """Exact inverse and determinant of a 3x3 matrix via the adjugate."""
+def _inv3(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a 3x3 matrix via the adjugate."""
     a, b, c_ = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
@@ -341,7 +317,7 @@ def _inv3(m: list[list[Fraction]]) -> tuple[list[list[Fraction]], Fraction]:
         [f * g - d * i, a * i - c_ * g, c_ * d - a * f],
         [d * h - e * g, b * g - a * h, a * e - b * d],
     ]
-    return [[x / det for x in row] for row in adj], det
+    return [[x / det for x in row] for row in adj]
 
 
 def estimator_series_one(
@@ -372,7 +348,7 @@ def estimator_series_one(
     return ((numerator * denominator) * Scale(Fraction(1), nu, -xi),)
 
 
-def _two_disease_affine_forms(misclass) -> tuple[dict[str, tuple[Fraction, list[Fraction]]], Fraction | None]:
+def _two_disease_affine_forms(misclass) -> dict[str, tuple[Fraction, list[Fraction]]]:
     """Radicand affine forms (intercept, linear-in-observation-probs) per component.
 
     Without misclassification the observation variables are the true pooled
@@ -384,15 +360,14 @@ def _two_disease_affine_forms(misclass) -> tuple[dict[str, tuple[Fraction, list[
     minus1 = Fraction(-1)
     zero = Fraction(0)
     if misclass is None:
-        forms = {
+        return {
             "00": (Fraction(1), [minus1, minus1, minus1]),
             "10": (Fraction(1), [zero, minus1, minus1]),
             "01": (Fraction(1), [minus1, zero, minus1]),
         }
-        return forms, None
     contrast = [[as_fraction(v) for v in row] for row in misclass.contrast()]
     baseline = [as_fraction(v) for v in misclass.baseline()]
-    inv, det = _inv3(contrast)
+    inv = _inv3(contrast)
     # theta_a(eta) = sum_b inv[a][b] * (eta_b - baseline_b)
     theta_intercept = [-sum(inv[a][b] * baseline[b] for b in range(3)) for a in range(3)]
     rows = {"00": (0, 1, 2), "10": (1, 2), "01": (0, 2)}
@@ -405,7 +380,7 @@ def _two_disease_affine_forms(misclass) -> tuple[dict[str, tuple[Fraction, list[
                 f"radicand for component {name} is not analytic at 0 (intercept {intercept})"
             )
         forms[name] = (intercept, linear)
-    return forms, det
+    return forms
 
 
 def estimator_series_two(
@@ -424,7 +399,7 @@ def estimator_series_two(
     if component not in ("00", "10", "01"):
         raise ValueError(f"component must be one of 00/10/01, got {component!r}")
     xi = Fraction(1, k)
-    forms, _ = _two_disease_affine_forms(misclass)
+    forms = _two_disease_affine_forms(misclass)
     den_spec = AffinePowerSpec(Fraction(1), (Fraction(-1), Fraction(-1), Fraction(-1)), Fraction(-c))
 
     def power_over_denominator(name: str) -> ScaledSeries:

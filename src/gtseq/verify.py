@@ -149,7 +149,7 @@ def verify_two(
     on the total count and each cross component only on (own count, sum of
     the other two), so the sums run over 1-d/2-d collapses of the count lattice.
     """
-    if model.misclass is not None:
+    if not model.is_perfect_test:
         raise ModelError("verify_two covers perfect tests; the model carries misclassification")
     tol = 1e-8 if tol is None else tol
     k, c = model.k, model.c

@@ -298,6 +298,22 @@ misclass = 0.98:0.95
         out = tmp_path / "v.csv"
         assert main(["verify-unbiased", "--config", cfg, "--out", str(out)]) == 3
 
+    def test_two_trait_verify_treats_error_free_misclass_as_perfect(self, tmp_path):
+        text = ("[run]\nmode = verify-unbiased\nseed = 1\n[model]\nfamily = two\n"
+                "p = 0.1:0.1:0.05\nk = 2\nc = 1\n")
+        rows = {}
+        for name, extra in (("plain", ""), ("ones", "misclass = 1:1:1:1\n")):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_cfg(tmp_path, text + extra, f"{name}.cfg")
+            assert main(["verify-unbiased", "--config", cfg, "--out", str(out)]) == 0
+            rows[name] = list(csv.DictReader(out.open()))
+        pi = ("pi0", "pi1", "pi0_2", "pi1_2")
+        assert len(rows["ones"]) == len(rows["plain"]) == 4
+        for ones, plain in zip(rows["ones"], rows["plain"]):
+            assert [ones.pop(f) for f in pi] == ["1"] * 4
+            assert [plain.pop(f) for f in pi] == [""] * 4
+            assert ones == plain and ones["flags"].startswith("ok;")
+
     def test_mode_conflict_is_validation_error(self, tmp_path):
         cfg = write_cfg(tmp_path, BENCH_CFG)
         assert main(["simulate", "--config", cfg]) == 1

@@ -191,3 +191,66 @@ class TestValidationErrors:
     def test_negative_z_count_rejected(self):
         with pytest.raises(ConfigError, match=r"line 9: z must be >= 0, got -1"):
             parse_config(two_estimate("0:0:0, -1:0:0"))
+
+
+def two_bench(misclass: str, estimators: str = "ub", mode: str = "bench") -> str:
+    return (f"[run]\nmode = {mode}\nseed = 1\n[model]\nfamily = two\n"
+            f"p = 0.1:0.1:0.05\nk = 2\nc = 1\nmisclass = {misclass}\nestimators = {estimators}\n")
+
+
+class TestGridPointLines:
+    """A rejected grid point names the line of the parameter its model rejects."""
+
+    def test_rejected_prevalence_names_the_p_line(self):
+        text = MINIMAL.replace("p = 0.05", "p = 0.05, 1.5")
+        with pytest.raises(ConfigError, match=r"^line 6: invalid grid point p=\(1\.5,\).*p must lie"):
+            parse_config(text)
+
+    def test_rejected_two_trait_prevalence_names_the_p_line(self):
+        text = two_bench("0.98:0.95:0.97:0.9").replace("p = 0.1:0.1:0.05", "p = 0.5:0.4:0.2")
+        with pytest.raises(ConfigError, match=r"^line 6: invalid grid point .*p00 = 1 - p10"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, match", [
+        (MINIMAL + "misclass = 1:1, 0.6:0.4\n", r"^line 9: invalid grid point .*unidentifiable"),
+        (MINIMAL + "misclass = 1.5:0.9\n", r"^line 9: invalid grid point .*specificity must lie"),
+        (two_bench("1:1:1:1, 0.9:1.9:0.9:0.9"), r"^line 9: invalid grid point .*sensitivity1 must lie"),
+    ], ids=["nu-zero", "specificity-above-one", "two-trait-sensitivity-above-one"])
+    def test_rejected_error_rates_name_the_misclass_line(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+
+class TestEstimatorPreconditions:
+    """Modes that evaluate estimators reject, at parse time, a point an estimator cannot take."""
+
+    @pytest.mark.parametrize("mode", ["bench", "estimate", "scan-properness", "verify-unbiased"])
+    def test_nonpositive_nu_rejected_at_the_misclass_line(self, mode):
+        text = MINIMAL.replace("mode = bench", f"mode = {mode}") + "misclass = 1:1, 0.4:0.5\ny = 0\n"
+        match = (r"^line 9: estimator UB_ONE_MISCLASS cannot run at misclass=\(0\.4, 0\.5\): "
+                 r"specificity \+ sensitivity - 1 must be positive")
+        with pytest.warns(UserWarning), pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    def test_nonpositive_nu_rejected_for_the_mle_too(self):
+        text = MINIMAL + "misclass = 0.4:0.5\nestimators = mle\n"
+        with pytest.warns(UserWarning), pytest.raises(ConfigError, match=r"^line 9: estimator MLE_ONE"):
+            parse_config(text)
+
+    def test_singular_contrast_rejected_for_the_series_estimator(self):
+        match = r"^line 9: estimator UB_TWO_MISCLASS_SERIES cannot run .*contrast matrix is singular"
+        for estimators in ("ub", "mle, UB_TWO_MISCLASS_SERIES"):
+            with pytest.warns(UserWarning), pytest.raises(ConfigError, match=match):
+                parse_config(two_bench("0.5:0.5:0.9:0.9", estimators))
+
+    def test_modes_and_estimators_that_do_not_need_them_still_accept(self):
+        with pytest.warns(UserWarning):
+            assert parse_config(two_bench("0.5:0.5:0.9:0.9", "mle")).points
+            assert parse_config(two_bench("0.5:0.5:0.9:0.9", mode="simulate")).points
+            text = MINIMAL.replace("mode = bench", "mode = simulate") + "misclass = 0.4:0.5\n"
+            assert parse_config(text).points
+
+    def test_error_free_entry_is_a_perfect_test_for_two_trait_verify(self):
+        points = parse_config(two_bench("1:1:1:1, identity", mode="verify-unbiased")).points
+        assert [pt.misclass for pt in points] == [(1.0, 1.0, 1.0, 1.0), None]
+        assert all(pt.model.is_perfect_test for pt in points)

@@ -305,6 +305,14 @@ class TestScanProperness:
         assert v.kind is ViolationKind.ABOVE_ONE and v.value > 1
         assert v.sample == (8,)
 
+    @pytest.mark.parametrize("spec, sens", [(F("0.4"), F("0.5")), (F(1, 2), F(1, 2))])
+    def test_unidentifiable_errors_raise_the_estimator_error(self, spec, sens):
+        # The scanner evaluates unbiased_one_misclass_parts, so it fails as the estimator does.
+        with pytest.raises(IdentifiabilityError, match="must be positive"):
+            scan_properness(
+                EstimatorId.UB_ONE_MISCLASS, 1, 2, specificity=spec, sensitivity=sens, bound=20
+            )
+
     def test_two_disease_counterexample(self):
         violations = scan_properness(EstimatorId.UB_TWO_PERFECT, 1, 2, bound=2)
         simplex = [v for v in violations if v.kind is ViolationKind.SIMPLEX_SUM]

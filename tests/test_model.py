@@ -122,6 +122,18 @@ class TestOneDiseaseModelValidation:
             assert 1 - m.specificity < theta < m.sensitivity
 
 
+class TestTwoDiseasePerfectTest:
+    @pytest.mark.parametrize("errors, perfect", [
+        (None, True),
+        (MisclassModel.identity(), True),
+        (independent_errors(IndepErrorParams(1.0, 1.0, 1.0, 1.0)), True),
+        (independent_errors(IndepErrorParams(1, 1, 1, F("0.99"))), False),
+        (independent_errors(IndepErrorParams(0.98, 0.95, 0.97, 0.9)), False),
+    ], ids=["none", "identity", "float-ones", "one-rate-below-one", "erring"])
+    def test_no_errors_or_the_identity_matrix_is_a_perfect_test(self, errors, perfect):
+        assert TwoDiseaseModel(0.1, 0.1, 0.05, 2, 1, errors).is_perfect_test is perfect
+
+
 class TestPoolCellProbs:
     def test_worked_example_exact(self):
         m = TwoDiseaseModel(F(1, 10), F(1, 10), F(1, 20), 2, 1)
