@@ -14,8 +14,9 @@ from functools import cached_property
 from typing import Any
 
 from .errors import ConfigError
-from .estimators import FAMILY, EstimatorId, _two_misclass_forms, positive_nu
+from .estimators import FAMILY, EstimatorId
 from .model import IndepErrorParams, OneDiseaseModel, TwoDiseaseModel, independent_errors
+from .model import positive_nu, two_disease_radicand_forms
 
 MODES = ("estimate", "verify-unbiased", "scan-properness", "identify", "simulate", "bench")
 FORMATS = ("csv", "jsonl")
@@ -58,9 +59,8 @@ class GridPoint:
                     errors = independent_errors(IndepErrorParams(*misclass))
                 model = TwoDiseaseModel(*p, k, c, errors)
         except ValueError as exc:
-            raise ConfigError(
-                f"invalid grid point p={p} k={k} c={c} misclass={misclass}: {exc}"
-            ) from exc
+            msg = f"invalid grid point p={p} k={k} c={c} misclass={misclass}: {exc}"
+            raise ConfigError(msg) from exc
         return cls(index, family, p, k, c, misclass, model)
 
 
@@ -136,8 +136,8 @@ def _check_runnable(config: ExperimentConfig, lineno: int | None) -> None:
             try:
                 if est in (EstimatorId.UB_ONE_MISCLASS, EstimatorId.MLE_ONE):
                     positive_nu(point.model.specificity, point.model.sensitivity)
-                elif est is EstimatorId.UB_TWO_MISCLASS_SERIES:
-                    _two_misclass_forms(point.k, point.model.misclass)
+                elif est in (EstimatorId.UB_TWO_MISCLASS_SERIES, EstimatorId.MLE_TWO):
+                    two_disease_radicand_forms(point.model.misclass)
             except ValueError as exc:
                 msg = f"estimator {est.value} cannot run at misclass={point.misclass}: {exc}"
                 raise ConfigError(msg, lineno) from exc

@@ -27,13 +27,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, IdentifiabilityError
-from .model import MisclassModel
+from .model import MisclassModel, positive_nu, two_disease_radicand_forms, two_disease_radicands
 # Not called since mle_two_table inverts every sample at once; perfbench/spans.py traces this name.
 from .model import invert_cell_probs  # noqa: F401
 from .numerics import Number, Scale, as_fraction
 from .plans import iter_counts
-from .series import _two_disease_affine_forms
 # Not called since the coefficient kernel replaced them; perfbench/spans.py traces these names.
 from .series import estimator_series_two, unbiased_exact, unbiased_from_series  # noqa: F401
 
@@ -126,14 +124,6 @@ def unbiased_one(y: int, c: int, k: int) -> Fraction:
     return 1 - _descending_pool_product(k, c, 0, y)
 
 
-def positive_nu(specificity: Number, sensitivity: Number) -> Number:
-    """nu = specificity + sensitivity - 1; the one-trait misclassified estimators need it positive."""
-    nu = specificity + sensitivity - 1
-    if nu <= 0:
-        raise IdentifiabilityError(f"specificity + sensitivity - 1 must be positive, got {nu}")
-    return nu
-
-
 def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: int) -> Fraction:
     """The series estimator's value at sample point x for a radicand a0 (1 + b.mu), less a0^(1/k).
 
@@ -173,10 +163,10 @@ def unbiased_one_misclass_parts(
     and bound checks can be done exactly by comparing k-th powers.  S(y) is
     the series coefficient of the radicand 1 - v/sens at v^y.
     """
-    sens = as_fraction(sensitivity)
-    nu = positive_nu(as_fraction(specificity), sens)
+    positive_nu(specificity, sensitivity)
+    spec_, sens = as_fraction(specificity), as_fraction(sensitivity)
     s = _series_coefficient((-1 / sens,), (y,), c, k)
-    return Fraction(1), Scale(-s, sens / nu, Fraction(1, k))
+    return Fraction(1), Scale(-s, sens / (spec_ + sens - 1), Fraction(1, k))
 
 
 def unbiased_one_misclass(
@@ -207,8 +197,8 @@ def mle_one(
 
     Proper by construction; clamping to [0, 1] is reported, not silent.
     """
+    nu = float(positive_nu(specificity, sensitivity))
     sens = float(sensitivity)
-    nu = positive_nu(float(specificity), sens)
     v_hat = y / (c + y)
     radicand = (sens - v_hat) / nu
     if radicand <= 0:
@@ -250,7 +240,7 @@ def _two_misclass_forms(k: int, misclass: MisclassModel | None) -> dict[str, tup
     """Per component 00/10/01: the a0^(1/k) scale and normalized slope b = a/a0 of its radicand."""
     return {
         name: (Scale(1, a0, Fraction(1, k)), tuple(a / a0 for a in linear))
-        for name, (a0, linear) in _two_disease_affine_forms(misclass).items()
+        for name, (a0, linear) in two_disease_radicand_forms(misclass).items()
     }
 
 
@@ -295,37 +285,32 @@ def _radical_sum(pieces: list[tuple[tuple[Fraction, Fraction], Fraction]]) -> Nu
     return float(sum(float(Scale(q, base, exponent)) for (base, exponent), q in terms))
 
 
-def mle_two_table(samples: np.ndarray, c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def mle_two_table(
+    samples: np.ndarray, c: int, k: int, misclass: MisclassModel | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Plug-in MLE baseline for two traits over an (n, 3) sample array.
 
     Returns float values (p00, p10, p01, p11), one row per sample, and clamp
-    flags.  Each row inverts the cell probabilities at v_hat = z/(c + sum(z))
-    with the operations of :func:`gtseq.model.invert_cell_probs`, in its
-    order; the complement component can go negative, so the row is clamped
-    to [0, 1] and renormalized by the left-to-right sum of its components.
-    The k-th roots use Python's float pow: np.power can round differently in
-    the last bit.
+    flags.  Each row inverts v_hat = z/(c + sum(z)) as
+    :func:`gtseq.model.invert_cell_probs` does, except that a negative
+    radicand (only under misclassification) is clipped to 0 and flags the
+    row, as in :func:`mle_one`.  The row is then clamped to [0, 1] and
+    renormalized by the left-to-right sum of its components.  The k-th
+    roots use Python's float pow: np.power can round differently in the
+    last bit.
     """
     z10, z01, z11 = np.asarray(samples, dtype=np.int64).T
     total = c + z10 + z01 + z11
-    c10, c01, c11 = z10 / total, z01 / total, z11 / total
-    radicands = np.stack((1 - c10 - c01 - c11, 1 - c01 - c11, 1 - c10 - c11))
-    bad = radicands <= 0
-    if bad.any():
-        row, comp = np.argwhere(bad.T)[0]
-        raise DomainError(
-            f"nonpositive radicand {float(radicands[comp, row])} for component "
-            f"{('00', '10', '01')[comp]}"
-        )
+    radicands = np.stack(two_disease_radicands((z10 / total, z01 / total, z11 / total), misclass))
+    negative = (radicands < 0).any(axis=0)
     power = 1.0 / k
-    roots = np.array([r**power for r in radicands.ravel().tolist()]).reshape(radicands.shape)
-    p00 = roots[0]
-    p10 = roots[1] - p00
-    p01 = roots[2] - p00
+    roots = np.array([r**power for r in np.maximum(radicands, 0, out=radicands).ravel().tolist()])
+    p00, r10, r01 = roots.reshape(radicands.shape)
+    p10, p01 = r10 - p00, r01 - p00
     raw = np.column_stack((p00, p10, p01, 1 - p00 - p10 - p01))
     clipped = np.clip(raw, 0.0, 1.0)
     total_p = ((clipped[:, 0] + clipped[:, 1]) + clipped[:, 2]) + clipped[:, 3]
-    return clipped / total_p[:, None], (clipped != raw).any(axis=1)
+    return clipped / total_p[:, None], negative | (clipped != raw).any(axis=1)
 
 
 class MleTwoResult(NamedTuple):
@@ -333,9 +318,11 @@ class MleTwoResult(NamedTuple):
     clamped: bool
 
 
-def mle_two(z: tuple[int, int, int], c: int, k: int) -> MleTwoResult:
+def mle_two(
+    z: tuple[int, int, int], c: int, k: int, misclass: MisclassModel | None = None
+) -> MleTwoResult:
     """Plug-in MLE baseline for two traits at one sample: a one-row :func:`mle_two_table`."""
-    values, clamped = mle_two_table(np.array([z]), c, k)
+    values, clamped = mle_two_table(np.array([z]), c, k, misclass)
     return MleTwoResult(tuple(values[0].tolist()), bool(clamped[0]))
 
 
@@ -374,7 +361,7 @@ def evaluate(
     if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
         return unbiased_two_misclass(x, c, k, misclass), False
     if estimator is EstimatorId.MLE_TWO:
-        return mle_two(x, c, k)
+        return mle_two(x, c, k, misclass)
     raise ValueError(f"unknown estimator {estimator}")
 
 
@@ -404,7 +391,7 @@ def evaluate_table(
         v01 = table[z01, z10 + z11] - v00
         return np.column_stack((v00, v10, v01, 1.0 - v00 - v10 - v01)), np.zeros(n, dtype=bool)
     if estimator is EstimatorId.MLE_TWO:
-        return mle_two_table(samples, c, k)
+        return mle_two_table(samples, c, k, params.get("misclass"))
     results = [evaluate(estimator, tuple(x), c, k, **params) for x in samples.tolist()]
     values = np.array([[float(v) for v in vals] for vals, _ in results]).reshape(n, -1)
     return values, np.array([clamped for _, clamped in results], dtype=bool)
@@ -416,7 +403,7 @@ def evaluate_table(
 
 
 def _one_disease_violation(
-    y: int, c: int, k: int, specificity: Fraction, sensitivity: Fraction
+    y: int, c: int, k: int, specificity: Number, sensitivity: Number
 ) -> PropernessViolation | None:
     """Exact-sign check of the one-disease estimate at sample y."""
     if specificity == 1 and sensitivity == 1:
@@ -483,9 +470,9 @@ def scan_properness(
         return violations
 
     if FAMILY[estimator] == "one":
+        # Passed as given: unbiased_one_misclass_parts judges nu before it converts them.
         misclassified = estimator is EstimatorId.UB_ONE_MISCLASS
-        spec_ = as_fraction(specificity) if misclassified else Fraction(1)
-        sens = as_fraction(sensitivity) if misclassified else Fraction(1)
+        spec_, sens = (specificity, sensitivity) if misclassified else (1, 1)
         points = range(bound + 1)
 
         def check(y):

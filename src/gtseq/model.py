@@ -21,9 +21,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .errors import DomainError, IdentifiabilityError, ModelError
-from .numerics import Number, is_exact, kth_root
+from .numerics import Number, as_fraction, is_exact, kth_root
 
 # Canonical order of the two-disease outcome patterns.  The three positive
 # patterns (disease-1 only, disease-2 only, both) come first and the
@@ -31,10 +32,16 @@ from .numerics import Number, is_exact, kth_root
 # convention that the stopping class is the final coordinate.
 CELL_ORDER = ("10", "01", "11", "00")
 
-#: Scaled float tolerance below which a determinant is treated as zero.
+#: Float tolerances below which a scaled determinant, and nu = spec + sens - 1, are zero.
 DET_ZERO_RTOL = 1e-10
+NU_ZERO_TOL = 1e-12
 
 _SIMPLEX_TOL = 1e-12
+
+# The true pooled cells (CELL_ORDER indices) each radicand takes from 1: p00^k =
+# 1 - c10 - c01 - c11, (p00 + p10)^k = 1 - c01 - c11, (p00 + p01)^k = 1 - c10 - c11.
+_RADICAND_CELLS = {"00": (0, 1, 2), "10": (1, 2), "01": (0, 2)}
+RadicandForms = dict[str, tuple[Fraction, tuple[Fraction, ...]]]
 
 
 def _check_open_unit(name: str, value: Number):
@@ -55,10 +62,21 @@ def _check_counts(k: int, c: int):
 
 
 def _check_nu(nu: Number, exact: bool):
-    if (exact and nu == 0) or (not exact and abs(float(nu)) < 1e-12):
-        raise IdentifiabilityError(
-            "specificity + sensitivity = 1 makes the prevalence unidentifiable"
-        )
+    if (exact and nu == 0) or (not exact and abs(float(nu)) < NU_ZERO_TOL):
+        msg = "specificity + sensitivity = 1 makes the prevalence unidentifiable"
+        raise IdentifiabilityError(msg)
+
+
+def positive_nu(specificity: Number, sensitivity: Number) -> Number:
+    """nu = specificity + sensitivity - 1, which the one-trait estimators need positive.
+
+    Judged as passed, as :class:`OneDiseaseModel` does: exact inputs exactly, floats in floats.
+    """
+    nu = specificity + sensitivity - 1
+    exact = is_exact(specificity) and is_exact(sensitivity)
+    if nu <= 0 or (not exact and float(nu) < NU_ZERO_TOL):
+        raise IdentifiabilityError(f"specificity + sensitivity - 1 must be positive, got {nu}")
+    return nu
 
 
 def _warn_weak_test(**params: Number):
@@ -164,7 +182,9 @@ class MisclassModel:
         object.__setattr__(self, "cond", rows)
 
     @classmethod
+    @cache
     def identity(cls) -> "MisclassModel":
+        """The error-free model; one shared instance, so its radicand forms are built once."""
         one, zero = Fraction(1), Fraction(0)
         return cls(tuple(tuple(one if i == j else zero for j in range(4)) for i in range(4)))
 
@@ -183,6 +203,34 @@ class MisclassModel:
         return tuple(
             tuple(self.cond[a][b] - self.cond[a][b00] for b in range(3)) for a in range(3)
         )
+
+    @cached_property
+    def radicand_forms(self) -> RadicandForms:
+        """Per component 00/10/01, its radicand as an exact affine form (intercept, linear).
+
+        The one inverse of the two-trait observation map: intercept + linear . eta
+        is p00^k, (p00 + p10)^k or (p00 + p01)^k, eta the three observed positive
+        cell probabilities, and the true cells are inv(contrast) (eta - baseline),
+        inverted exactly at float error rates' binary values.  Built once per model;
+        a contrast :func:`identifiability` judges singular raises IdentifiabilityError.
+        """
+        if not identifiability(self)[0]:
+            raise IdentifiabilityError("misclassification contrast matrix is singular")
+        det, adj = _det_adjugate([[as_fraction(v) for v in row] for row in self.contrast()])
+        forms = {}
+        for name, cells in _RADICAND_CELLS.items():
+            # radicand = 1 - sum over cells of inv(contrast) (eta - baseline)
+            linear = tuple(-sum(adj[a][b] for a in cells) / det for b in range(3))
+            intercept = 1 - sum(a * as_fraction(base) for a, base in zip(linear, self.baseline()))
+            if intercept <= 0:
+                raise DomainError(f"radicand {name} has intercept {float(intercept):.6g} <= 0")
+            forms[name] = (intercept, linear)
+        return forms
+
+    @cached_property
+    def float_radicand_forms(self) -> dict[str, tuple[float, tuple[float, ...]]]:
+        """:attr:`radicand_forms` rounded to float, for the float inverses."""
+        return {n: (float(a0), tuple(map(float, b))) for n, (a0, b) in self.radicand_forms.items()}
 
 
 @dataclass(frozen=True)
@@ -229,21 +277,50 @@ def independent_errors(params: IndepErrorParams) -> MisclassModel:
     return MisclassModel(cond)
 
 
+def _det_adjugate(m) -> tuple[Number, tuple[tuple[Number, ...], ...]]:
+    """Determinant and adjugate of a 3x3 matrix, in the arithmetic of its entries."""
+    (a, b, c_), (d, e, f), (g, h, i) = m
+    adj = (
+        (e * i - f * h, c_ * h - b * i, b * f - c_ * e),
+        (f * g - d * i, a * i - c_ * g, c_ * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+    return a * adj[0][0] + b * adj[1][0] + c_ * adj[2][0], adj
+
+
 def identifiability(misclass: MisclassModel) -> tuple[bool, Number]:
     """Whether distinct prevalence vectors stay distinguishable, and the contrast determinant.
 
     Exact inputs get an exact zero test; float inputs use a threshold scaled
-    by the cube of the largest contrast entry.
+    by the cube of the largest contrast entry.  This is the rule every
+    two-trait inverse of the observation map goes by.
     """
     m = misclass.contrast()
-    a, b, c_ = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c_ * (d * h - e * g)
+    det, _ = _det_adjugate(m)
     if misclass.is_exact:
         return det != 0, det
     scale = max(abs(float(v)) for row in m for v in row) or 1.0
     return abs(float(det)) >= DET_ZERO_RTOL * scale ** 3, det
+
+
+def two_disease_radicand_forms(misclass: MisclassModel | None) -> RadicandForms:
+    """:attr:`MisclassModel.radicand_forms` of `misclass`; None is a perfect test."""
+    return (misclass or MisclassModel.identity()).radicand_forms
+
+
+def two_disease_radicands(cells, misclass: MisclassModel | None = None) -> tuple:
+    """Radicands of components 00, 10, 01 at observed cells (c10, c01, c11), summed left to right.
+
+    Float cells (scalars or arrays) read the float forms: a perfect test's give the subset sums.
+    """
+    model = misclass or MisclassModel.identity()
+    forms = model.radicand_forms if all(map(is_exact, cells)) else model.float_radicand_forms
+    out = []
+    for radicand, linear in forms.values():
+        for a, v in zip(linear, cells):
+            radicand = radicand + a * v
+        out.append(radicand)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -296,19 +373,19 @@ def pool_cell_probs(model: TwoDiseaseModel) -> tuple[Number, Number, Number, Num
 
 
 def invert_cell_probs(
-    cells: tuple[Number, Number, Number], k: int
+    cells: tuple[Number, Number, Number], k: int, misclass: MisclassModel | None = None
 ) -> tuple[Number, Number, Number, Number]:
-    """Prevalences (p00, p10, p01, p11) from the three positive pooled-cell probabilities."""
-    c10, c01, c11 = cells
-    r00 = 1 - c10 - c01 - c11
-    r10 = 1 - c01 - c11
-    r01 = 1 - c10 - c11
-    for name, radicand in (("00", r00), ("10", r10), ("01", r01)):
+    """Prevalences (p00, p10, p01, p11) from the three positive observed pooled-cell probabilities.
+
+    Exact inverse of :func:`pool_cell_probs`, or of :func:`observed_cell_probs`
+    under `misclass`; every radicand must be positive.
+    """
+    radicands = two_disease_radicands(cells, misclass)
+    for name, radicand in zip(_RADICAND_CELLS, radicands):
         if radicand <= 0:
             raise DomainError(f"nonpositive radicand {radicand} for component {name}")
-    p00 = kth_root(r00, k)
-    p10 = kth_root(r10, k) - p00
-    p01 = kth_root(r01, k) - p00
+    p00, r10, r01 = (kth_root(radicand, k) for radicand in radicands)
+    p10, p01 = r10 - p00, r01 - p00
     return (p00, p10, p01, 1 - p00 - p10 - p01)
 
 
@@ -324,22 +401,14 @@ def observed_cell_probs(model: TwoDiseaseModel) -> tuple[Number, Number, Number,
         raise ModelError("observed_cell_probs requires a misclassification model")
     cells = pool_cell_probs(model)
     cond = model.misclass.cond
-    # Mixture over true patterns, cond columns in CELL_ORDER = (10, 01, 11, 00).
-    theta_by_col = (cells[0], cells[1], cells[2], cells[3])
-    mixture = [
-        sum(cond[a][b] * theta_by_col[b] for b in range(4)) for a in range(4)
-    ]
+    # Mixture over true patterns: cells and cond columns are both in CELL_ORDER.
+    mixture = [sum(cond[a][b] * cells[b] for b in range(4)) for a in range(4)]
     baseline = model.misclass.baseline()
     contrast = model.misclass.contrast()
-    affine = [
-        baseline[a] + sum(contrast[a][b] * theta_by_col[b] for b in range(3))
-        for a in range(3)
-    ]
+    affine = [baseline[a] + sum(contrast[a][b] * cells[b] for b in range(3)) for a in range(3)]
     exact = model.misclass.is_exact and all(is_exact(v) for v in cells)
     for a in range(3):
         diff = mixture[a] - affine[a]
         if (exact and diff != 0) or (not exact and abs(float(diff)) > _SIMPLEX_TOL):
-            raise AssertionError(
-                f"mixture and affine observation probabilities disagree by {diff}"
-            )
+            raise AssertionError(f"mixture and affine observation probabilities disagree by {diff}")
     return (mixture[0], mixture[1], mixture[2], mixture[3])

@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, IdentifiabilityError, InsufficientOrderError
+from .errors import DomainError, InsufficientOrderError
+from .model import positive_nu, two_disease_radicand_forms
 from .numerics import ONE, Number, Scale, as_fraction
 from .plans import iter_counts
 
@@ -304,22 +305,6 @@ def unbiased_exact(g, c: int, x: MultiIndex) -> Fraction | None:
 # ---------------------------------------------------------------------------
 
 
-def _inv3(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a 3x3 matrix via the adjugate."""
-    a, b, c_ = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c_ * (d * h - e * g)
-    if det == 0:
-        raise IdentifiabilityError("misclassification contrast matrix is singular")
-    adj = [
-        [e * i - f * h, c_ * h - b * i, b * f - c_ * e],
-        [f * g - d * i, a * i - c_ * g, c_ * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ]
-    return [[x / det for x in row] for row in adj]
-
-
 def estimator_series_one(
     k: int,
     c: int,
@@ -334,53 +319,15 @@ def estimator_series_one(
     and the irrational (sens/nu)^(1/k) multiplier is carried in the scale.
     """
     xi = Fraction(1, k)
-    spec_ = as_fraction(specificity)
-    sens = as_fraction(sensitivity)
-    if spec_ == 1 and sens == 1:
+    if specificity == 1 and sensitivity == 1:
         return (expand_affine_power(AffinePowerSpec(Fraction(1), (Fraction(-1),), xi - c), order),)
-    nu = spec_ + sens - 1
-    if nu <= 0:
-        raise IdentifiabilityError(f"specificity + sensitivity - 1 must be positive, got {nu}")
+    positive_nu(specificity, sensitivity)
+    spec_, sens = as_fraction(specificity), as_fraction(sensitivity)
     numerator = expand_affine_power(AffinePowerSpec(sens, (Fraction(-1),), xi), order)
     denominator = expand_affine_power(
         AffinePowerSpec(Fraction(1), (Fraction(-1),), Fraction(-c)), order
     )
-    return ((numerator * denominator) * Scale(Fraction(1), nu, -xi),)
-
-
-def _two_disease_affine_forms(misclass) -> dict[str, tuple[Fraction, list[Fraction]]]:
-    """Radicand affine forms (intercept, linear-in-observation-probs) per component.
-
-    Without misclassification the observation variables are the true pooled
-    cell probabilities and the radicands are 1 - (subset sums).  With
-    misclassification the true cell probabilities are an affine function of
-    the observed ones (inverse of the contrast matrix), which keeps every
-    radicand affine.
-    """
-    minus1 = Fraction(-1)
-    zero = Fraction(0)
-    if misclass is None:
-        return {
-            "00": (Fraction(1), [minus1, minus1, minus1]),
-            "10": (Fraction(1), [zero, minus1, minus1]),
-            "01": (Fraction(1), [minus1, zero, minus1]),
-        }
-    contrast = [[as_fraction(v) for v in row] for row in misclass.contrast()]
-    baseline = [as_fraction(v) for v in misclass.baseline()]
-    inv = _inv3(contrast)
-    # theta_a(eta) = sum_b inv[a][b] * (eta_b - baseline_b)
-    theta_intercept = [-sum(inv[a][b] * baseline[b] for b in range(3)) for a in range(3)]
-    rows = {"00": (0, 1, 2), "10": (1, 2), "01": (0, 2)}
-    forms = {}
-    for name, idx in rows.items():
-        intercept = Fraction(1) - sum(theta_intercept[a] for a in idx)
-        linear = [-sum(inv[a][b] for a in idx) for b in range(3)]
-        if intercept <= 0:
-            raise DomainError(
-                f"radicand for component {name} is not analytic at 0 (intercept {intercept})"
-            )
-        forms[name] = (intercept, linear)
-    return forms
+    return ((numerator * denominator) * Scale(Fraction(1), spec_ + sens - 1, -xi),)
 
 
 def estimator_series_two(
@@ -399,18 +346,15 @@ def estimator_series_two(
     if component not in ("00", "10", "01"):
         raise ValueError(f"component must be one of 00/10/01, got {component!r}")
     xi = Fraction(1, k)
-    forms = _two_disease_affine_forms(misclass)
-    den_spec = AffinePowerSpec(Fraction(1), (Fraction(-1), Fraction(-1), Fraction(-1)), Fraction(-c))
+    forms = two_disease_radicand_forms(misclass)
+    stop = (Fraction(1), (Fraction(-1),) * 3)  # mu0 = 1 - sum(mu), the stopping-class probability
 
     def power_over_denominator(name: str) -> ScaledSeries:
-        intercept, linear = forms[name]
-        if intercept == 1 and list(linear) == [Fraction(-1)] * 3:
+        if forms[name] == stop:
             # Radicand equals the stopping-class probability: single power.
-            return expand_affine_power(
-                AffinePowerSpec(intercept, tuple(linear), xi - c), order
-            )
-        top = expand_affine_power(AffinePowerSpec(intercept, tuple(linear), xi), order)
-        return top * expand_affine_power(den_spec, order)
+            return expand_affine_power(AffinePowerSpec(*stop, xi - c), order)
+        top = expand_affine_power(AffinePowerSpec(*forms[name], xi), order)
+        return top * expand_affine_power(AffinePowerSpec(*stop, Fraction(-c)), order)
 
     g00 = power_over_denominator("00")
     if component == "00":

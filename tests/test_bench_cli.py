@@ -314,6 +314,18 @@ misclass = 0.98:0.95
             assert [plain.pop(f) for f in pi] == [""] * 4
             assert ones == plain and ones["flags"].startswith("ok;")
 
+    def test_float_singular_contrast_is_a_validation_error(self, tmp_path, capsys):
+        # identify reports 0.55:0.45:0.9:0.9 not-identifiable; estimate used to
+        # exit 0 with p00 = -1.0e7 there.
+        text = ("[run]\nmode = estimate\nseed = 1\n[model]\nfamily = two\np = 0.1:0.1:0.05\n"
+                "k = 2\nc = 1\nmisclass = 0.55:0.45:0.9:0.9\nz = 1:0:0\n")
+        cfg = write_cfg(tmp_path, text)
+        with pytest.warns(UserWarning):
+            assert main(["estimate", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gtseq: config error: line 9: estimator UB_TWO_MISCLASS_SERIES cannot run")
+        assert err.endswith("contrast matrix is singular\n")
+
     def test_mode_conflict_is_validation_error(self, tmp_path):
         cfg = write_cfg(tmp_path, BENCH_CFG)
         assert main(["simulate", "--config", cfg]) == 1

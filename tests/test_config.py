@@ -7,6 +7,7 @@ import pytest
 from gtseq import config
 from gtseq.config import DEFAULT_TWO_P_GRID, parse_config
 from gtseq.errors import ConfigError
+from gtseq.model import identifiability, independent_errors
 
 MINIMAL = """\
 [run]
@@ -238,15 +239,26 @@ class TestEstimatorPreconditions:
             parse_config(text)
 
     def test_singular_contrast_rejected_for_the_series_estimator(self):
-        match = r"^line 9: estimator UB_TWO_MISCLASS_SERIES cannot run .*contrast matrix is singular"
-        for estimators in ("ub", "mle, UB_TWO_MISCLASS_SERIES"):
-            with pytest.warns(UserWarning), pytest.raises(ConfigError, match=match):
-                parse_config(two_bench("0.5:0.5:0.9:0.9", estimators))
+        # The exact and the float-singular contrast alike: both estimators invert the
+        # observation map, and identify reports both entries not-identifiable.
+        cases = [
+            ("ub", "UB_TWO_MISCLASS_SERIES"),
+            ("UB_TWO_MISCLASS_SERIES, mle", "UB_TWO_MISCLASS_SERIES"),
+            ("mle", "MLE_TWO"),
+            ("mle, UB_TWO_MISCLASS_SERIES", "MLE_TWO"),
+        ]
+        for misclass in ("0.5:0.5:0.9:0.9", "0.55:0.45:0.9:0.9"):
+            for estimators, name in cases:
+                match = rf"^line 9: estimator {name} cannot run .*contrast matrix is singular"
+                with pytest.warns(UserWarning), pytest.raises(ConfigError, match=match):
+                    parse_config(two_bench(misclass, estimators))
 
     def test_modes_and_estimators_that_do_not_need_them_still_accept(self):
         with pytest.warns(UserWarning):
-            assert parse_config(two_bench("0.5:0.5:0.9:0.9", "mle")).points
             assert parse_config(two_bench("0.5:0.5:0.9:0.9", mode="simulate")).points
+            text = two_bench("0.5:0.5:0.9:0.9, 0.55:0.45:0.9:0.9", mode="identify")
+            entries = parse_config(text).identify_entries
+            assert [identifiability(independent_errors(e))[0] for e in entries] == [False, False]
             text = MINIMAL.replace("mode = bench", "mode = simulate") + "misclass = 0.4:0.5\n"
             assert parse_config(text).points
 

@@ -27,7 +27,16 @@ from gtseq.estimators import (
     unbiased_two,
     unbiased_two_misclass,
 )
-from gtseq.model import IndepErrorParams, MisclassModel, independent_errors, invert_cell_probs
+from gtseq.model import (
+    IndepErrorParams,
+    MisclassModel,
+    OneDiseaseModel,
+    TwoDiseaseModel,
+    independent_errors,
+    invert_cell_probs,
+    observed_cell_probs,
+    two_disease_radicands,
+)
 from gtseq.plans import iter_counts, truncated_expectation
 from gtseq.series import (
     estimator_series_one,
@@ -96,6 +105,15 @@ class TestUnbiasedOneMisclass:
         with pytest.raises(IdentifiabilityError):
             unbiased_one_misclass(1, 1, 2, F("0.55"), F("0.45"))
 
+    def test_float_nu_judged_as_passed(self):
+        # 0.55 + 0.45 - 1 is 0 in floats but 2^-54 between the binary values;
+        # the estimator used to accept the latter and return -9.0e7.
+        with pytest.raises(IdentifiabilityError):
+            OneDiseaseModel(0.05, 2, 1, 0.55, 0.45)
+        for estimate in (unbiased_one_misclass, mle_one):
+            with pytest.raises(IdentifiabilityError, match="must be positive, got 0.0"):
+                estimate(0, 1, 2, 0.55, 0.45)
+
     @pytest.mark.parametrize("spec_,sens", [(F("0.98"), F("0.95")), (F(1), F("0.9"))])
     @pytest.mark.parametrize("c,k", [(1, 2), (2, 4), (3, 1), (5, 10)])
     def test_matches_series_oracle(self, spec_, sens, c, k):
@@ -145,6 +163,9 @@ class TestUnbiasedTwo:
                     closed = unbiased_two(z, c, k)
                     for idx, name in enumerate(("00", "10", "01")):
                         assert unbiased_exact(gs[name], c, z) == closed[idx], (z, name)
+
+DYADIC_ERRORS = independent_errors(IndepErrorParams(F(3, 4), F(7, 8), F(7, 8), F(3, 4)))
+DECIMAL_ERRORS = independent_errors(IndepErrorParams(0.98, 0.95, 0.97, 0.9))
 
 
 class TestSimplexExcess:
@@ -196,12 +217,21 @@ class TestUnbiasedTwoMisclass:
             got = unbiased_two_misclass(z, c, k, mis)[:3]
             assert [(type(v), v) for v in got] == [(type(v), v) for v in want], z
 
-    def test_singular_contrast_rejected(self):
+    @pytest.mark.parametrize(
+        "margins",
+        [(F("0.5"), F("0.5"), F("0.9"), F("0.9")), (0.55, 0.45, 0.9, 0.9)],
+        ids=["exact", "float"],
+    )
+    def test_singular_contrast_rejected(self, margins):
+        # The float contrast's determinant is 1.5e-33, zero by identifiability's
+        # tolerance; inverting its binary value gave p00 = -1e7.  MLE_TWO inverts
+        # the same map, so it fails the same way.
         with pytest.warns(UserWarning):
-            params = IndepErrorParams(F("0.5"), F("0.5"), F("0.9"), F("0.9"))
-        mis = independent_errors(params)
-        with pytest.raises(IdentifiabilityError):
+            mis = independent_errors(IndepErrorParams(*margins))
+        with pytest.raises(IdentifiabilityError, match="contrast matrix is singular"):
             unbiased_two_misclass((1, 0, 0), 1, 2, mis)
+        with pytest.raises(IdentifiabilityError, match="contrast matrix is singular"):
+            mle_two((1, 0, 0), 1, 2, mis)
 
     @pytest.mark.parametrize(
         "margins,prevalences,k,c",
@@ -272,12 +302,30 @@ class TestMleTwo:
         z=st.tuples(*[st.integers(min_value=0, max_value=12)] * 3),
         c=st.integers(min_value=1, max_value=5),
         k=st.integers(min_value=1, max_value=10),
+        misclass=st.sampled_from([None, DYADIC_ERRORS, DECIMAL_ERRORS]),
     )
     @settings(max_examples=150)
-    def test_always_on_simplex(self, z, c, k):
-        result = mle_two(z, c, k)
+    def test_always_on_simplex(self, z, c, k, misclass):
+        result = mle_two(z, c, k, misclass)
         assert all(0 <= v <= 1 for v in result.p)
         assert sum(result.p) == pytest.approx(1, abs=1e-12)
+
+    def test_inverts_misclassification(self):
+        # z/(c + |z|) = (249, 121, 67)/1024 is exactly the observed cell
+        # probability vector, so the plug-in inverse recovers the prevalences.
+        model = TwoDiseaseModel(F(1, 16), F(1, 16), F(1, 32), 1, 587, DYADIC_ERRORS)
+        assert observed_cell_probs(model)[:3] == (F(249, 1024), F(121, 1024), F(67, 1024))
+        result = mle_two((249, 121, 67), 587, 1, DYADIC_ERRORS)
+        assert result.p == pytest.approx((0.84375, 0.0625, 0.0625, 0.03125), rel=0, abs=1e-12)
+        assert not result.clamped
+
+    def test_negative_radicand_is_clipped_and_flagged(self):
+        # Twelve positive pools for trait 1 alone lie outside the map's image
+        # under these error rates: the p10 radicand is negative.
+        assert min(two_disease_radicands((12 / 13, 0.0, 0.0), DYADIC_ERRORS)) < 0
+        result = mle_two((12, 0, 0), 1, 2, DYADIC_ERRORS)
+        assert result.clamped and all(0 <= v <= 1 for v in result.p)
+        assert sum(result.p) == pytest.approx(1, abs=1e-15)
 
 
 class TestScanProperness:
@@ -305,7 +353,7 @@ class TestScanProperness:
         assert v.kind is ViolationKind.ABOVE_ONE and v.value > 1
         assert v.sample == (8,)
 
-    @pytest.mark.parametrize("spec, sens", [(F("0.4"), F("0.5")), (F(1, 2), F(1, 2))])
+    @pytest.mark.parametrize("spec, sens", [(F("0.4"), F("0.5")), (F(1, 2), F(1, 2)), (0.55, 0.45)])
     def test_unidentifiable_errors_raise_the_estimator_error(self, spec, sens):
         # The scanner evaluates unbiased_one_misclass_parts, so it fails as the estimator does.
         with pytest.raises(IdentifiabilityError, match="must be positive"):

@@ -19,6 +19,7 @@ from gtseq.model import (
     observed_cell_probs,
     observed_pos_prob,
     pool_cell_probs,
+    two_disease_radicand_forms,
 )
 
 
@@ -177,6 +178,12 @@ class TestInvertCellProbs:
         with pytest.raises(DomainError):
             invert_cell_probs((0.5, 0.4, 0.2), 2)
 
+    @pytest.mark.parametrize("prevalences", [(F(1, 16), F(1, 16), F(1, 32)), (F(1, 5), F(1, 10), F(3, 10))])
+    def test_inverts_observed_cells_under_misclassification(self, prevalences):
+        params = IndepErrorParams(F("0.98"), F("0.95"), F("0.97"), F("0.9"))
+        m = TwoDiseaseModel(*prevalences, 1, 1, independent_errors(params))
+        assert invert_cell_probs(observed_cell_probs(m)[:3], 1, m.misclass) == m.prevalences()
+
     def test_round_trip_grid(self):
         checked = 0
         for p10 in (0.02, 0.1, 0.25):
@@ -294,6 +301,21 @@ class TestIdentifiability:
         params = IndepErrorParams(t1, s1, t2, s2)
         _, det = identifiability(independent_errors(params))
         assert det == (params.nu1 * params.nu2) ** 2
+
+    def test_float_singular_contrast_has_no_inverse(self):
+        # det = 1.5e-33 is zero at the float tolerance, though the binary
+        # values' exact determinant is not: the inverse goes by the same rule.
+        with pytest.warns(UserWarning):
+            mis = independent_errors(IndepErrorParams(0.55, 0.45, 0.9, 0.9))
+        ok, det = identifiability(mis)
+        assert not ok and det != 0
+        with pytest.raises(IdentifiabilityError, match="contrast matrix is singular"):
+            two_disease_radicand_forms(mis)
+
+    def test_radicand_forms_of_a_perfect_test(self):
+        forms = two_disease_radicand_forms(None)
+        assert forms == {"00": (1, (-1, -1, -1)), "10": (1, (0, -1, -1)), "01": (1, (-1, 0, -1))}
+        assert two_disease_radicand_forms(MisclassModel.identity()) == forms
 
     def test_float_backend_threshold(self):
         params = IndepErrorParams(0.9, 0.8, 0.95, 0.85)
