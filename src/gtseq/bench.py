@@ -3,6 +3,7 @@
 Grid points are data-parallel: every point draws its replicates from an RNG
 stream spawned as (master seed, grid index), and records are emitted sorted
 by grid index, so output is byte-identical regardless of the worker count.
+Monte Carlo summaries are sums over distinct samples weighted by their counts.
 """
 
 from __future__ import annotations
@@ -126,13 +127,16 @@ def _components(point: GridPoint) -> tuple[str, ...]:
     return ("p",) if point.family == "one" else TWO_COMPONENTS
 
 
-def _summary(values: np.ndarray, truth: float) -> tuple[float, float, float, float]:
-    n = len(values)
-    mean = float(values.mean())
-    bias = mean - truth
-    mse = float(np.mean((values - truth) ** 2))
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
-    return mean, bias, mse, se
+def _summary(
+    values: np.ndarray, weights: np.ndarray, truth: float
+) -> tuple[float, float, float, float]:
+    """Mean, bias, MSE and SE of `values` repeated `weights` times; pairwise sums, no BLAS."""
+    n = int(np.add.reduce(weights))
+    mean = float(np.add.reduce(weights * values)) / n
+    mse = float(np.add.reduce(weights * (values - truth) ** 2)) / n
+    ss = float(np.add.reduce(weights * (values - mean) ** 2))
+    se = math.sqrt(ss / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
+    return mean, mean - truth, mse, se
 
 
 def _base_record(point: GridPoint, estimator: str, component: str, **kw) -> EstimateRecord:
@@ -170,32 +174,39 @@ def _simulate_counts(point: GridPoint, config: ExperimentConfig) -> np.ndarray:
     return simulate_imn_counts(point.c, step_probs, config.replicates, seed_seq)
 
 
+def tally(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `counts` in lexicographic order, and their multiplicities.
+
+    Rows are keyed by one mixed-radix integer while (max + 1)**t fits in int64;
+    past that the key would wrap, and the slower row-wise `np.unique` gives the
+    same order exactly.
+    """
+    dims = (int(counts.max()) + 1,) * counts.shape[1]
+    if math.prod(dims) > np.iinfo(np.intp).max:
+        return np.unique(counts, axis=0, return_counts=True)
+    keys, weights = np.unique(np.ravel_multi_index(tuple(counts.T), dims), return_counts=True)
+    return np.column_stack(np.unravel_index(keys, dims)), weights
+
+
 def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
     counts = _simulate_counts(point, config)
     if config.replicates == 0:
         return []
-    if point.family == "one":
-        truths: tuple[float, ...] = (point.model.p,)
-        # A dense table over 0..max_y indexed by the counts is cheaper than np.unique.
-        samples, inverse = np.arange(int(counts.max()) + 1)[:, None], counts[:, 0]
-    else:
-        truths = tuple(float(v) for v in point.model.prevalences())
-        # One int64 key per sample, ordered as (z10, z01, z11) lexicographically.
-        base = int(counts.max()) + 1
-        key = (counts[:, 0] * base + counts[:, 1]) * base + counts[:, 2]
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        samples = counts[first]
+    samples, weights = tally(counts)
+    model = point.model
+    truths = (model.p,) if point.family == "one" else tuple(map(float, model.prevalences()))
     params = _params(point)
     records = []
     for est in resolve_estimators(point, config.estimators):
         table, clamp_table = evaluate_table(est, samples, point.c, point.k, **params)
-        values = table[inverse]
+        out_of_range = ((table < 0) | (table > 1)).sum(axis=1)
         flags = _flags(
-            clamped=int(clamp_table[inverse].sum()),
-            improper=int(((values < 0) | (values > 1)).sum()),
+            clamped=int(np.add.reduce(weights[clamp_table])),
+            improper=int(np.add.reduce(weights * out_of_range)),
         )
-        for i, (name, truth) in enumerate(zip(_components(point), truths)):
-            mean, bias, mse, se = _summary(values[:, i], truth)
+        columns = np.ascontiguousarray(table.T)
+        for name, truth, column in zip(_components(point), truths, columns):
+            mean, bias, mse, se = _summary(column, weights, truth)
             records.append(
                 _base_record(
                     point, est.value, name,

@@ -333,6 +333,9 @@ def simulate_imn_counts(
     tracked = float(sum(mu))
     mu0 = 1.0 - tracked
     totals = rng.negative_binomial(c, mu0, size=n_replicates)
+    if t == 1:
+        # A one-class multinomial draws nothing; the counts are the totals.
+        return totals[:, None]
     if tracked > 0.0:
         split = np.asarray(mu, dtype=float) / tracked
         out = rng.multinomial(totals, split)

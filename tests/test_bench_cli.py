@@ -3,15 +3,21 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from gtseq.bench import CSV_HEADER, EstimateRecord, render_records, run_mode
+from gtseq import bench
+from gtseq.bench import CSV_HEADER, EstimateRecord, render_records, run_mode, tally
 from gtseq.cli import main
-from gtseq.config import parse_config
+from gtseq.config import parse_config, resolve_estimators
+from gtseq.estimators import evaluate_table
+from gtseq.plans import simulate_imn_counts
 
 BENCH_CFG = """\
 [run]
@@ -157,6 +163,107 @@ class TestBench:
         records, ok = run_mode(cfg)
         assert records == [] and ok
         assert render_records(records, "csv") == ",".join(CSV_HEADER) + "\n"
+
+
+MLE_MISCLASS_TWO_CFG = """\
+[run]
+mode = bench
+seed = 20250813
+replicates = 2000
+
+[model]
+family = two
+p = 0.05:0.05:0.025
+k = 2
+c = 5
+misclass = 0.98:0.95:0.97:0.9
+estimators = mle
+"""
+
+
+def _repeat_summary(values, truth):
+    """The per-replicate summary: mean, bias, MSE and SE over every replicate."""
+    n = len(values)
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.nan
+    return mean, mean - truth, float(np.mean((values - truth) ** 2)), se
+
+
+class TestTally:
+    def test_rows_sorted_with_multiplicities(self):
+        for mu in [(0.2,), (0.2, 0.1, 0.05)]:
+            counts = simulate_imn_counts(3, mu, 5000, seed=11)
+            samples, weights = tally(counts)
+            expected = sorted(Counter(map(tuple, counts.tolist())).items())
+            assert [tuple(row) for row in samples.tolist()] == [row for row, _ in expected]
+            assert weights.tolist() == [n for _, n in expected]
+            assert samples.dtype == np.int64
+
+    def test_counts_past_the_int64_key(self):
+        # base**3 > 2**63 here, so a mixed-radix int64 key would wrap.
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 3, size=(400, 3))
+        counts[::7, 0] = 2**21 + 5
+        counts[::11, 1] = 2**40
+        counts[::13, 2] = 7_700_000_000
+        assert (int(counts.max()) + 1) ** 3 > 2**63
+        samples, weights = tally(counts)
+        expected = sorted(Counter(map(tuple, counts.tolist())).items())
+        assert [tuple(row) for row in samples.tolist()] == [row for row, _ in expected]
+        assert weights.tolist() == [n for _, n in expected]
+
+
+class TestWeightedSummary:
+    """Bench records equal the per-replicate formulas on the table repeated by its weights."""
+
+    @pytest.mark.parametrize(
+        "text, flagged_kinds",
+        [
+            (
+                BENCH_CFG.replace("misclass = 1:1, 0.98:0.95", "misclass = 0.98:0.95"),
+                {"clamped", "improper"},
+            ),
+            (TWO_CFG, {"clamped", "improper"}),
+            (MLE_MISCLASS_TWO_CFG, {"clamped"}),
+            (TWO_CFG.replace("replicates = 3000", "replicates = 1"), set()),
+        ],
+        ids=["one-misclass", "two-perfect", "two-misclass-mle", "one-replicate"],
+    )
+    def test_matches_repeat_based_summary(self, text, flagged_kinds):
+        config = parse_config(text)
+        replicates = config.replicates
+        flagged = set()
+        for point in config.points:
+            records = iter(bench._bench_point(point, config))
+            counts = bench._simulate_counts(point, config)
+            samples, weights = tally(counts)
+            order = np.lexsort(counts.T[::-1])
+            assert np.array_equal(np.repeat(samples, weights, axis=0), counts[order])
+            model = point.model
+            truths = [model.p] if point.family == "one" else list(map(float, model.prevalences()))
+            for est in resolve_estimators(point, config.estimators):
+                params = bench._params(point)
+                table, clamp_table = evaluate_table(est, samples, point.c, point.k, **params)
+                values = np.repeat(table, weights, axis=0)
+                tallies = {
+                    "clamped": int(np.repeat(clamp_table, weights).sum()),
+                    "improper": int(((values < 0) | (values > 1)).sum()),
+                }
+                flagged.update(name for name, n in tallies.items() if n)
+                for i, truth in enumerate(truths):
+                    record = next(records)
+                    assert record.flags == ";".join(f"{k}={n}" for k, n in tallies.items() if n)
+                    assert record.replicates == replicates
+                    mean, bias, mse, se = _repeat_summary(values[:, i], truth)
+                    pairs = ((record.estimate, mean), (record.bias, bias), (record.mse, mse))
+                    for got, want in pairs:
+                        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (got, want)
+                    if replicates == 1:
+                        assert math.isnan(record.se) and math.isnan(se)
+                    else:
+                        assert math.isclose(record.se, se, rel_tol=1e-12, abs_tol=1e-15)
+            assert next(records, None) is None
+        assert flagged == flagged_kinds
 
 
 class TestOtherModes:

@@ -209,6 +209,15 @@ class TestSimulate:
         b = simulate_imn_counts(1, (0.2, 0.1, 0.05), 500, seed=7)
         assert (a == b).all()
 
+    @pytest.mark.parametrize("c, mu", [(1, 0.05), (5, 0.3), (20, 0.9)])
+    def test_one_trait_counts_are_the_negative_binomial_stream(self, c, mu):
+        # One tracked class needs no multinomial split; the bench references
+        # depend on this stream staying as it is.
+        counts = simulate_imn_counts(c, (mu,), 1000, 7)
+        rng = np.random.default_rng(np.random.SeedSequence(7))
+        assert counts.shape == (1000, 1) and counts.dtype == np.int64
+        assert np.array_equal(counts[:, 0], rng.negative_binomial(c, 1 - mu, 1000))
+
 
 class TestTruncatedExpectation:
     def test_constant_estimator_recovers_mass(self):
