@@ -32,11 +32,18 @@ def run(config_name: str, out_path: Path, replicates: int | None, seed: int | No
         print(f"  worst |bias|: unbiased={worst_ub:.2e}  mle={worst_mle:.2e}")
 
 
+def non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="bench_results")
-    parser.add_argument("--replicates", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--replicates", type=non_negative, default=None)
+    parser.add_argument("--seed", type=non_negative, default=None)
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import DomainError
 from .model import MisclassModel, positive_nu, two_disease_radicand_forms, two_disease_radicands
 # Not called since mle_two_table inverts every sample at once; perfbench/spans.py traces this name.
 from .model import invert_cell_probs  # noqa: F401
@@ -94,18 +95,25 @@ def _descending_pool_product(k: int, c: int, offset: int, count: int) -> Fractio
     return out
 
 
-def pool_factor_table(k: int, c: int, offset_max: int, count_max: int) -> np.ndarray:
-    """T[a, m] = prod_{j<m} (1 - 1/(k(c + a + j))) in floats, for 0 <= a <= offset_max.
+# Entries one pool-factor row may hold: three float64 rows this long take 384 MiB.
+POOL_ROW_LIMIT = 2**24
 
-    Row 0 is the one-trait (and p00) product: 1 - T[0, y] is the float form
-    of :func:`unbiased_one`.
+
+def _pool_factor_rows(k: int, c: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """head[m] = prod_{j<m} f_j, tail[m] = prod_{1<=j<m} f_j, f_j = 1 - 1/(k(c + j)), m <= total.
+
+    1 - head[y] is :func:`unbiased_one` in floats.  For a >= 1 the product over
+    a <= j < a + m is tail[a + m]/tail[a]; tail skips f_0, which is 0 at k = c = 1.
     """
-    a = np.arange(offset_max + 1)[:, None]
-    j = np.arange(count_max)[None, :]
-    factors = 1.0 - 1.0 / (k * (c + a + j))
-    table = np.ones((offset_max + 1, count_max + 1))
-    np.cumprod(factors, axis=1, out=table[:, 1:])
-    return table
+    if total >= POOL_ROW_LIMIT:
+        raise DomainError(
+            f"sample total {total} at k={k}, c={c} exceeds the pool-factor row limit {POOL_ROW_LIMIT}"
+        )
+    factors = 1.0 - 1.0 / (k * (c + np.arange(total)))
+    head, tail = np.ones(total + 1), np.ones(total + 1)
+    np.cumprod(factors, out=head[1:])
+    np.cumprod(factors[1:], out=tail[2:])
+    return head, tail
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +379,23 @@ def evaluate_table(
     """Float values (one row per sample, one column per component) and clamp flags.
 
     `samples` is an integer array with one sample point per row.  The two
-    perfect-test closed forms are read off :func:`pool_factor_table` and
-    MLE_TWO is :func:`mle_two_table`; only the exact misclassified estimators
-    and MLE_ONE still go through :func:`evaluate`, once per row.
+    perfect-test closed forms read one pool-factor row (O(max total) memory)
+    and MLE_TWO is :func:`mle_two_table`; only the exact misclassified
+    estimators and MLE_ONE still go through :func:`evaluate`, once per row.
     """
     samples = np.asarray(samples, dtype=np.int64)
     n = len(samples)
     if estimator is EstimatorId.UB_ONE_PERFECT:
         y = samples[:, 0]
-        q_hat = pool_factor_table(k, c, 0, int(y.max(initial=0)))[0]
-        return (1.0 - q_hat[y])[:, None], np.zeros(n, dtype=bool)
+        head, _ = _pool_factor_rows(k, c, int(y.max(initial=0)))
+        return (1.0 - head[y])[:, None], np.zeros(n, dtype=bool)
     if estimator is EstimatorId.UB_TWO_PERFECT:
         z10, z01, z11 = samples.T
         totals = z10 + z01 + z11
-        max_z = int(totals.max(initial=0))
-        table = pool_factor_table(k, c, max_z, max_z)
-        v00 = table[0, totals]
-        v10 = table[z10, z01 + z11] - v00
-        v01 = table[z01, z10 + z11] - v00
+        head, tail = _pool_factor_rows(k, c, int(totals.max(initial=0)))
+        v00 = head[totals]
+        v10 = np.where(z10 > 0, tail[totals] / tail[z10], v00) - v00
+        v01 = np.where(z01 > 0, tail[totals] / tail[z01], v00) - v00
         return np.column_stack((v00, v10, v01, 1.0 - v00 - v10 - v01)), np.zeros(n, dtype=bool)
     if estimator is EstimatorId.MLE_TWO:
         return mle_two_table(samples, c, k, params.get("misclass"))

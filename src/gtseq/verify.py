@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable, pool_factor_table
+from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable
 from .estimators import unbiased_one_misclass
 from .errors import ModelError
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
@@ -147,7 +147,8 @@ def verify_two(
     Covers perfect tests only.  Sums are taken over sum(z) <= N with N chosen
     so the certified tail is below tol/2.  The leading component depends only
     on the total count and each cross component only on (own count, sum of
-    the other two), so the sums run over 1-d/2-d collapses of the count lattice.
+    the other two), so the sums run over 1-d/2-d collapses of the count lattice,
+    reading the shipped UB_TWO_PERFECT estimator at one sample per collapsed point.
     """
     if not model.is_perfect_test:
         raise ModelError("verify_two covers perfect tests; the model carries misclassification")
@@ -159,20 +160,22 @@ def verify_two(
     n = stopping_quantile(c, mu0, aim, cap)
     tail = negbin_tail(c, mu0, n)
 
+    p00 = estimator_callable(EstimatorId.UB_TWO_PERFECT, c, k, component="p00")
+    p10 = estimator_callable(EstimatorId.UB_TWO_PERFECT, c, k, component="p10")
+
     # Leading component: depends on the total only, NB(c, mu0) sum.
-    table = pool_factor_table(k, c, n, n)
-    p00_table = table[0]
-    nb_pmf = imn_pmf(np.arange(n + 1)[:, None], c, (1.0 - mu0,))
-    e00 = float(p00_table @ nb_pmf)
+    totals = np.arange(n + 1)
+    nb_pmf = imn_pmf(totals[:, None], c, (1.0 - mu0,))
+    e00 = float(p00(np.pad(totals[:, None], ((0, 0), (2, 0)))) @ nb_pmf)
     mass = float(np.sum(nb_pmf))
 
     # Cross components: (own count, sum of the other two) over the triangle own + rest <= n.
-    own, rest = np.nonzero(np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n)
+    # p10 at (own, 0, rest) equals p01 at (0, own, rest), so one estimate serves both sums.
+    pairs = np.column_stack(np.nonzero(np.add.outer(totals, totals) <= n))
+    cross = p10(np.insert(pairs, 1, 0, axis=1))
 
     def cross_expectation(own_prob: float, rest_prob: float) -> float:
-        pmf2 = imn_pmf(np.column_stack((own, rest)), c, (own_prob, rest_prob))
-        est = table[own, rest] - p00_table[own + rest]
-        return float(np.sum(est * pmf2))
+        return float(np.sum(cross * imn_pmf(pairs, c, (own_prob, rest_prob))))
 
     e10 = cross_expectation(t10, t01 + t11)
     e01 = cross_expectation(t01, t10 + t11)

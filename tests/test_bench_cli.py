@@ -4,10 +4,12 @@ import csv
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,10 +62,38 @@ misclass = 0.75:0.875:0.875:0.75
 """
 
 
+LARGE_TOTALS_CFG = """\
+[run]
+mode = bench
+seed = {seed}
+replicates = {replicates}
+
+[model]
+family = two
+p = 0.2:0.2:0.1
+k = {k}
+c = {c}
+estimators = {estimators}
+"""
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_capped(args):
+    """Run a command in a child whose address space is capped at 2 GiB.
+
+    An oversized allocation is then refused in the child, not made on the host.
+    """
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, *args], preexec_fn=cap, capture_output=True, text=True, timeout=300
+    )
 
 
 class TestRecords:
@@ -467,6 +497,23 @@ misclass = 0.98:0.95
         assert main(["bench", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_ub_bench_past_the_pool_row_limit_is_a_numerical_error(self, tmp_path):
+        # Largest sample total here is 6.6e9: the row is refused before it is allocated.
+        text = LARGE_TOTALS_CFG.format(seed=4, replicates=200, k=30, c=1, estimators="ub")
+        proc = run_capped(["-m", "gtseq.cli", "bench", "--config", write_cfg(tmp_path, text)])
+        assert proc.returncode == 3, proc.stderr
+        assert "at k=30, c=1 exceeds the pool-factor row limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bench_with_large_totals_fits_in_two_gib(self, tmp_path):
+        # Largest sample total is about 45,000: a dense table over it would take 15 GiB.
+        text = LARGE_TOTALS_CFG.format(seed=0, replicates=100_000, k=10, c=20, estimators="ub, mle")
+        out = tmp_path / "out.csv"
+        cfg = write_cfg(tmp_path, text)
+        proc = run_capped(["-m", "gtseq.cli", "bench", "--config", cfg, "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 1 + 2 * 4
+
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gtseq.cli", "bench", "--help"],
@@ -474,3 +521,16 @@ misclass = 0.98:0.95
         )
         assert proc.returncode == 0
         assert "--config" in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--replicates", "--seed"])
+def test_default_bench_script_rejects_negative_values(tmp_path, flag):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_default_bench.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "out"), flag, "-1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert f"argument {flag}: must be >= 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 """Closed forms vs the series oracle, counterexamples, scanners, MLE baselines."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtseq.errors import IdentifiabilityError
+from gtseq.errors import DomainError, IdentifiabilityError
 from gtseq.estimators import (
     FAMILY,
     TWO_COMPONENTS,
     EstimatorId,
     ViolationKind,
+    _pool_factor_rows,
     estimator_callable,
     evaluate,
     evaluate_table,
@@ -396,14 +398,43 @@ class TestEvaluate:
             exact = float(evaluate(EstimatorId.UB_ONE_PERFECT, (y,), c, k)[0][0])
             assert value == pytest.approx(exact, rel=0, abs=1e-13), y
 
-    @pytest.mark.parametrize("k, c", [(1, 1), (2, 1), (3, 4)])
+    @pytest.mark.parametrize("k, c", [(1, 1), (2, 1), (3, 4), (10, 20)])
     def test_two_trait_table_matches_exact(self, k, c):
         samples = np.array(list(iter_counts(3, 30)))
+        if (k, c) in [(1, 1), (10, 20)]:
+            # Totals up to 500, where the cross terms are ratios of long pool-factor products.
+            edges = [(500, 0, 0), (0, 500, 0), (0, 0, 500), (1, 0, 499), (0, 1, 499), (499, 1, 0),
+                     (250, 250, 0), (1, 1, 498)]
+            spread = np.random.default_rng(0).integers(0, 167, size=(24, 3))
+            samples = np.vstack((samples, edges, spread))
         values, clamped = evaluate_table(EstimatorId.UB_TWO_PERFECT, samples, c, k)
         assert values.shape == (len(samples), 4) and not clamped.any()
         for z, row in zip(map(tuple, samples.tolist()), values):
             exact, _ = evaluate(EstimatorId.UB_TWO_PERFECT, z, c, k)
             assert row.tolist() == pytest.approx([float(v) for v in exact], rel=0, abs=1e-13), z
+
+    def test_two_trait_table_memory_grows_linearly(self):
+        peaks = []
+        for total in (1000, 2000, 4000):
+            samples = np.array([[0, 0, 0], [total // 3, total // 3, total - 2 * (total // 3)]])
+            tracemalloc.start()
+            try:
+                evaluate_table(EstimatorId.UB_TWO_PERFECT, samples, 20, 10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] < 1_000_000, peaks
+        assert peaks[1] < 2.5 * peaks[0] and peaks[2] < 2.5 * peaks[1], peaks
+
+    def test_pool_row_limit_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"sample total {2**40} at k=3, c=2"):
+                _pool_factor_rows(3, 2, 2**40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     @pytest.mark.parametrize("c", [1, 5, 20])
