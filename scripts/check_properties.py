@@ -4,7 +4,6 @@
 A condensed version of the acceptance checks, for eyeballing after changes.
 """
 
-import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -24,8 +23,8 @@ from gtseq.plans import (  # noqa: E402
     StopCountPlan,
     axis_boundary_check,
     imn_plan,
-    poly_representability,
 )
+from gtseq.series import AffinePowerSpec, poly_representability  # noqa: E402
 from gtseq.verify import verify_one, verify_two  # noqa: E402
 
 
@@ -60,11 +59,21 @@ def main() -> int:
     ok &= stop_neg.passes and not stop_pos.passes
     print(f"  stop-at-negatives plan axis points: {stop_neg.count_on_axis} (needs exactly 1)")
     print(f"  stop-at-positives plan axis points: {stop_pos.count_on_axis} (no unbiased estimator)")
-    linear = poly_representability(FixedTotalPlan(2, 5), lambda th: 1 - th)
-    root = poly_representability(FixedTotalPlan(2, 5), lambda th: math.sqrt(1 - th))
-    ok &= linear.max_residual < 1e-12 < 1e-4 < root.max_residual
-    print(f"  fixed-design residual, linear target: {linear.max_residual:.2e}")
-    print(f"  fixed-design residual, k=2 root target: {root.max_residual:.2e}")
+    fixed5 = FixedTotalPlan(2, 5)
+    linear = poly_representability(fixed5, AffinePowerSpec(1, (-1,), 1))
+    root = poly_representability(FixedTotalPlan(2, 60), AffinePowerSpec(1, (-1,), F(1, 2)))
+    # ((sens - theta)/nu)^(1/2) at spec 0.95, sens 0.9: nu = 0.85
+    mis = poly_representability(
+        FixedTotalPlan(2, 10), AffinePowerSpec(F("0.9") / F("0.85"), (-1 / F("0.85"),), F(1, 2))
+    )
+    y_over_5 = linear.estimator == {(x, y): F(y, 5) for x, y in fixed5.boundary_points()}
+    ok &= y_over_5 and not root.representable and not mis.representable
+    print(f"  fixed total 5, linear target: representable={linear.representable}, y/5: {y_over_5}")
+    for name, total, verdict in (("k=2 root", 60, root), ("misclassified root", 10, mis)):
+        print(
+            f"  fixed total {total}, {name} target: representable={verdict.representable},"
+            f" theta^{verdict.certificate_degree} certificate {float(verdict.certificate):.3g}"
+        )
 
     print("ALL CHECKS PASS" if ok else "SOME CHECKS FAILED")
     return 0 if ok else 1

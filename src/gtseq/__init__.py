@@ -49,7 +49,6 @@ from .plans import (
     imn_pmf_exact,
     load_plan,
     path_count,
-    poly_representability,
     save_plan,
     simulate,
     simulate_imn_counts,
@@ -62,6 +61,7 @@ from .series import (
     estimator_series_one,
     estimator_series_two,
     expand_affine_power,
+    poly_representability,
     series_mul,
     unbiased_exact,
     unbiased_from_series,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import ExperimentConfig, GridPoint, resolve_estimators
+from .errors import GtseqError
 from .estimators import TWO_COMPONENTS, evaluate, evaluate_table, scan_properness
 # Not called here since `evaluate` dispatches; perfbench/spans.py traces these names.
 from .estimators import (  # noqa: F401
@@ -320,11 +321,19 @@ def run_mode(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
     runner = _POINT_RUNNERS[config.mode]
     points = config.points
     threads = config.threads or 1
+
+    def run(point: GridPoint) -> list[EstimateRecord]:
+        try:
+            return runner(point, config)
+        except GtseqError as exc:
+            where = f"grid point p={point.p} k={point.k} c={point.c} misclass={point.misclass}"
+            raise type(exc)(f"{where}: {exc}") from exc
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda pt: runner(pt, config), points))
+            chunks = list(pool.map(run, points))
     else:
-        chunks = [runner(pt, config) for pt in points]
+        chunks = [run(pt) for pt in points]
     records = [record for chunk in chunks for record in chunk]
     ok = not any("FAIL" in record.flags for record in records)
     return records, ok

@@ -506,63 +506,3 @@ def axis_boundary_check(plan: SamplingPlan) -> AxisCheckResult:
     else:
         raise PlanError(f"unsupported plan type {type(plan).__name__}")
     return AxisCheckResult(count, count == 1)
-
-
-@dataclass(frozen=True)
-class PolyFitResult:
-    max_residual: float
-    coefficients: dict[Point, float]
-    rank: int
-    rank_deficient: bool
-
-
-def chebyshev_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    nodes = np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    return (lo + hi) / 2 + (hi - lo) / 2 * nodes
-
-
-def default_theta_domain(
-    specificity: float = 1.0, sensitivity: float = 1.0, delta: float = 0.05
-) -> tuple[float, float]:
-    """Observation-probability range induced by the misclassification bounds."""
-    return (1 - specificity + delta, sensitivity - delta)
-
-
-def poly_representability(
-    plan: SamplingPlan,
-    target: Callable[[float], float],
-    *,
-    grid_size: int = 257,
-    domain: tuple[float, float] = (0.05, 0.95),
-) -> PolyFitResult:
-    """Least-squares test of whether any estimator under a finite plan matches `target`.
-
-    An estimator f over the boundary represents exactly the function
-    sum_b f(b) K(b) theta^x_b (1-theta)^y_b, a polynomial; the best-fit
-    maximum residual against `target` on a Chebyshev grid is therefore ~0
-    iff the target is representable, and strictly positive otherwise
-    (e.g. k-th roots under fixed designs).
-    """
-    if not plan.finite:
-        raise PlanError("polynomial representability needs a finite plan")
-    if plan.dim != 2:
-        raise PlanError("representability check is implemented for 2-d plans")
-    lo, hi = domain
-    if not 0 < lo < hi < 1:
-        raise DomainError(f"bad theta domain {domain}")
-    boundary = sorted(plan.boundary_points())
-    weights = [path_count(plan, b) for b in boundary]
-    grid = chebyshev_grid(lo, hi, grid_size)
-    design = np.empty((grid_size, len(boundary)))
-    for j, (b, w) in enumerate(zip(boundary, weights)):
-        x, y = b
-        design[:, j] = w * grid ** x * (1 - grid) ** y
-    targets = np.array([target(th) for th in grid])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    residual = float(np.max(np.abs(design @ coeffs - targets)))
-    return PolyFitResult(
-        max_residual=residual,
-        coefficients={b: float(f) for b, f in zip(boundary, coeffs)},
-        rank=int(rank),
-        rank_deficient=int(rank) < len(boundary),
-    )

@@ -1,4 +1,4 @@
-"""Truncated multivariate power series and the series-based estimator constructor.
+"""Power series, the series-based estimator constructor, and exact finite-plan representability.
 
 The estimator construction implemented here turns the Taylor coefficients of
 
@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InsufficientOrderError
+from .errors import DomainError, InsufficientOrderError, PlanError
 from .model import positive_nu, two_disease_radicand_forms
 from .numerics import ONE, Number, Scale, as_fraction
-from .plans import iter_counts
+from .plans import Point, SamplingPlan, iter_counts, path_count
 
 MultiIndex = tuple[int, ...]
 
@@ -163,14 +163,6 @@ class ScaledSeries:
 
     scale: Scale
     series: TruncatedSeries
-
-    @property
-    def dim(self) -> int:
-        return self.series.dim
-
-    @property
-    def order(self) -> int:
-        return self.series.order
 
     def __mul__(self, other: "ScaledSeries | TruncatedSeries | Scale | Number") -> "ScaledSeries":
         if isinstance(other, ScaledSeries):
@@ -360,3 +352,60 @@ def estimator_series_two(
     if component == "00":
         return (g00,)
     return (power_over_denominator(component), -g00)
+
+
+@dataclass(frozen=True)
+class Representability:
+    """Exact verdict on one target under one finite plan; see :func:`poly_representability`."""
+
+    representable: bool
+    estimator: dict[Point, Fraction] | None  # one exact value per boundary point
+    certificate: Fraction  # the target's theta^certificate_degree coefficient, a0^xi left out
+    certificate_degree: int
+    rank: int
+    rank_deficient: bool
+
+
+def poly_representability(plan: SamplingPlan, target: AffinePowerSpec) -> Representability:
+    """Decide exactly whether some estimator under a finite 2-d plan is unbiased for `target`.
+
+    E_theta f = sum_b f(b) w_b theta^x (1-theta)^y (w_b = path_count) has degree
+    <= D, the largest boundary total, so a nonzero theta^(D+1) coefficient of
+    the target certifies that no unbiased estimator exists.  Otherwise the
+    target is a polynomial, and Gauss-Jordan elimination on monomial
+    coefficients solves for f (free values set to 0) or finds the target
+    outside the span.  An irrational constant target raises ValueError.
+    """
+    if not plan.finite or plan.dim != 2 or len(target.linear) != 1:
+        raise PlanError("representability is decided for finite 2-d plans and one-variable targets")
+    boundary = sorted(plan.boundary_points())
+    n, degree = len(boundary), max(map(sum, boundary))
+    expansion = expand_affine_power(target, degree + 1)
+    certificate = expansion.series.coeff((degree + 1,))
+    # Row d: the theta^d coefficients of each w_b theta^x (1-theta)^y, then of the target
+    # (left at 0 when the certificate has decided already).
+    scale = expansion.scale.as_fraction() if certificate == 0 else 0
+    rows = [[Fraction(0)] * n + [scale * expansion.series.coeff((d,))] for d in range(degree + 1)]
+    for j, (x, y) in enumerate(boundary):
+        weight = path_count(plan, (x, y))
+        for i in range(y + 1):
+            rows[x + i][j] = Fraction((-1) ** i * weight * math.comb(y, i))
+    pivots: list[int] = []
+    for col in range(n):
+        top = next((i for i in range(len(pivots), len(rows)) if rows[i][col] != 0), None)
+        if top is None:
+            continue
+        pivot = [v / rows[top][col] for v in rows[top]]
+        rows[top], rows[len(pivots)] = rows[len(pivots)], pivot
+        for i, row in enumerate(rows):
+            if row is not pivot and row[col] != 0:
+                # Only the pivot row's nonzeros cost Fraction arithmetic: O(n^2) when triangular.
+                rows[i] = [a - row[col] * b if b else a for a, b in zip(row, pivot)]
+        pivots.append(col)
+    rank = len(pivots)
+    solved = certificate == 0 and all(row[n] == 0 for row in rows[rank:])
+    estimator = dict.fromkeys(boundary, Fraction(0))
+    estimator.update((boundary[col], row[n]) for row, col in zip(rows, pivots))
+    return Representability(
+        solved, estimator if solved else None, certificate, degree + 1, rank, rank < n
+    )

@@ -42,16 +42,16 @@ from gtseq.plans import (
     FixedTotalPlan,
     StopCountPlan,
     axis_boundary_check,
-    default_theta_domain,
     imn_pmf,
     imn_plan,
     iter_counts,
-    poly_representability,
     simulate_imn_counts,
 )
 from gtseq.series import (
+    AffinePowerSpec,
     estimator_series_one,
     estimator_series_two,
+    poly_representability,
     unbiased_exact,
     unbiased_from_series,
     unbiased_parts,
@@ -213,21 +213,27 @@ class TestCriterion6PlanDiagnostics:
             axis_boundary_check(imn_plan(1, 3)).passes
             and not axis_boundary_check(StopCountPlan(2, 3, axis=0)).passes
         )
-        linear = poly_representability(FixedTotalPlan(2, 5), lambda th: 1 - th)
-        sqrt_fit = poly_representability(FixedTotalPlan(2, 5), lambda th: math.sqrt(1 - th))
-        mis_fit = poly_representability(
-            FixedTotalPlan(2, 5),
-            lambda th: ((0.9 - th) / (0.95 + 0.9 - 1)) ** 0.5,
-            domain=default_theta_domain(0.95, 0.9),
+        plan = FixedTotalPlan(2, 5)
+        linear = poly_representability(plan, AffinePowerSpec(1, (-1,), 1))
+        # A degree-60 polynomial fits this root to 1e-13 on (0.05, 0.95): only an exact
+        # test refuses it.
+        root = poly_representability(FixedTotalPlan(2, 60), AffinePowerSpec(1, (-1,), F(1, 2)))
+        # ((sens - theta)/nu)^(1/2) at spec 0.95, sens 0.9: nu = 0.85
+        mis = poly_representability(
+            FixedTotalPlan(2, 10),
+            AffinePowerSpec(F("0.9") / F("0.85"), (-1 / F("0.85"),), F(1, 2)),
         )
         poly_ok = (
-            linear.max_residual < 1e-12
-            and sqrt_fit.max_residual > 1e-4
-            and mis_fit.max_residual > 1e-4
+            linear.representable
+            and linear.estimator == {(x, y): F(y, 5) for x, y in plan.boundary_points()}
+            and not root.representable
+            and (root.certificate_degree, root.certificate != 0) == (61, True)
+            and not mis.representable
+            and (mis.certificate_degree, mis.certificate != 0) == (11, True)
         )
         elapsed = time.time() - start
         report(6, "plan diagnostics", axis_ok and poly_ok, elapsed,
-               f"residuals: linear={linear.max_residual:.2e}, root={sqrt_fit.max_residual:.2e}")
+               "linear: y/5 at total 5; roots: nonzero theta^61 (total 60), theta^11 (total 10)")
 
 
 class TestCriterion7MonteCarlo:

@@ -498,12 +498,17 @@ misclass = 0.98:0.95
         assert out1.read_text() == out2.read_text()
 
     def test_ub_bench_past_the_pool_row_limit_is_a_numerical_error(self, tmp_path):
-        # Largest sample total here is 6.6e9: the row is refused before it is allocated.
+        # Largest sample total at the second point is about 5e9: the row is refused before
+        # it is allocated, and the message names the grid point it came from.
         text = LARGE_TOTALS_CFG.format(seed=4, replicates=200, k=30, c=1, estimators="ub")
-        proc = run_capped(["-m", "gtseq.cli", "bench", "--config", write_cfg(tmp_path, text)])
-        assert proc.returncode == 3, proc.stderr
-        assert "at k=30, c=1 exceeds the pool-factor row limit" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        text = text.replace("p = 0.2:0.2:0.1", "p = 0.05:0.05:0.025, 0.2:0.2:0.1")
+        cfg = write_cfg(tmp_path, text)
+        for threads in ("1", "2"):
+            proc = run_capped(["-m", "gtseq.cli", "bench", "--config", cfg, "--threads", threads])
+            assert proc.returncode == 3, proc.stderr
+            assert "grid point p=(0.2, 0.2, 0.1) k=30 c=1 misclass=None: " in proc.stderr
+            assert "at k=30, c=1 exceeds the pool-factor row limit" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_bench_with_large_totals_fits_in_two_gib(self, tmp_path):
         # Largest sample total is about 45,000: a dense table over it would take 15 GiB.

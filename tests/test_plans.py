@@ -13,7 +13,6 @@ from gtseq.plans import (
     FixedTotalPlan,
     StopCountPlan,
     axis_boundary_check,
-    default_theta_domain,
     imn_plan,
     imn_pmf,
     imn_pmf_exact,
@@ -21,12 +20,12 @@ from gtseq.plans import (
     load_plan,
     negbin_tail,
     path_count,
-    poly_representability,
     save_plan,
     simulate,
     simulate_imn_counts,
     truncated_expectation,
 )
+from gtseq.series import AffinePowerSpec, poly_representability
 
 
 def brute_force_paths(plan, point):
@@ -307,34 +306,68 @@ class TestAxisBoundaryCheck:
             axis_boundary_check(imn_plan(2, 1))
 
 
+LINEAR = AffinePowerSpec(1, (-1,), 1)  # 1 - theta
+SQUARE = AffinePowerSpec(1, (-1,), 2)  # (1 - theta)^2
+ROOT = AffinePowerSpec(1, (-1,), F(1, 2))  # (1 - theta)^(1/2)
+# ((sens - theta)/nu)^(1/2) at spec 0.95, sens 0.9, nu = 0.85, from the decimals as written
+MISCLASSIFIED_ROOT = AffinePowerSpec(F("0.9") / F("0.85"), (-1 / F("0.85"),), F(1, 2))
+
+
+def generalized_binomial(xi, d):
+    return math.prod(xi - i for i in range(d)) / math.factorial(d)
+
+
 class TestPolyRepresentability:
     def test_linear_target_is_representable(self):
-        fit = poly_representability(FixedTotalPlan(2, 5), lambda th: 1 - th)
-        assert fit.max_residual < 1e-12
-        assert not fit.rank_deficient
+        plan = FixedTotalPlan(2, 5)
+        verdict = poly_representability(plan, LINEAR)
+        assert verdict.representable and verdict.certificate == 0
+        assert verdict.estimator == {(x, y): F(y, 5) for x, y in plan.boundary_points()}
+        assert (verdict.rank, verdict.rank_deficient) == (6, False)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_fixed_total_known_answers(self, n):
+        # E[Y/n] = 1 - theta and E[Y(Y-1)] = n(n-1)(1 - theta)^2 for Y ~ Binomial(n, 1 - theta).
+        plan = FixedTotalPlan(2, n)
+        linear = poly_representability(plan, LINEAR)
+        assert linear.estimator == {(x, y): F(y, n) for x, y in plan.boundary_points()}
+        square = poly_representability(plan, SQUARE)
+        if n == 1:
+            assert not square.representable and square.certificate == 1
+        else:
+            want = {(x, y): F(y * (y - 1), n * (n - 1)) for x, y in plan.boundary_points()}
+            assert square.representable and square.estimator == want
 
     def test_sqrt_target_is_not_representable(self):
-        fit = poly_representability(FixedTotalPlan(2, 5), lambda th: math.sqrt(1 - th))
-        assert fit.max_residual > 1e-4
+        for n in (5, 60):
+            verdict = poly_representability(FixedTotalPlan(2, n), ROOT)
+            assert not verdict.representable and verdict.estimator is None
+            assert verdict.certificate_degree == n + 1
+            assert verdict.certificate == generalized_binomial(F(1, 2), n + 1) * (-1) ** (n + 1)
+            assert verdict.certificate != 0
 
     def test_misclassified_target_is_not_representable(self):
-        spec_, sens = 0.95, 0.9
-        nu = spec_ + sens - 1
-        domain = default_theta_domain(spec_, sens)
-        fit = poly_representability(
-            FixedTotalPlan(2, 5),
-            lambda th: ((sens - th) / nu) ** 0.5,
-            domain=domain,
-        )
-        assert fit.max_residual > 1e-4
+        for n in (5, 10):
+            verdict = poly_representability(FixedTotalPlan(2, n), MISCLASSIFIED_ROOT)
+            assert not verdict.representable
+            slope = F(-10, 9)  # a/a0 = (-1/0.85)/(0.9/0.85)
+            assert verdict.certificate == generalized_binomial(F(1, 2), n + 1) * slope ** (n + 1)
 
     def test_requires_finite_plan(self):
         with pytest.raises(PlanError):
-            poly_representability(imn_plan(1, 2), lambda th: th)
+            poly_representability(imn_plan(1, 2), LINEAR)
+        with pytest.raises(PlanError):
+            poly_representability(FixedTotalPlan(3, 2), LINEAR)
 
     def test_rank_deficiency_reported(self):
-        fit = poly_representability(FixedTotalPlan(2, 5), lambda th: th, grid_size=3)
-        assert fit.rank_deficient
+        # (0, 3) lies behind (0, 1) on the axis, so no walk reaches it: rank 1 of 2.
+        plan = ExplicitPlan(2, frozenset({(0, 1), (0, 3)}))
+        linear = poly_representability(plan, LINEAR)
+        assert linear.rank_deficient and linear.rank == 1
+        assert linear.estimator == {(0, 1): 1, (0, 3): 0}
+        # A polynomial of low enough degree can still lie outside the span.
+        square = poly_representability(plan, SQUARE)
+        assert square.certificate == 0 and not square.representable
 
 
 class TestPlanIO:
@@ -352,6 +385,14 @@ class TestPlanIO:
         save_plan(plan, path)
         loaded = load_plan(path)
         assert set(loaded.points) == set(plan.boundary_points())
+
+    def test_loaded_plan_gets_the_rules_verdicts(self, tmp_path):
+        rule = FixedTotalPlan(2, 5)
+        path = tmp_path / "fixed.txt"
+        save_plan(rule, path)
+        loaded = load_plan(path)
+        for target in (LINEAR, SQUARE, ROOT, MISCLASSIFIED_ROOT):
+            assert poly_representability(loaded, target) == poly_representability(rule, target)
 
     def test_malformed_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"
