@@ -373,6 +373,25 @@ def path_count(plan: SamplingPlan, point: Point) -> int:
     return counts[point]
 
 
+def check_closed(plan: SamplingPlan) -> None:
+    """Raise PlanError unless every walk from the origin stops on the finite boundary.
+
+    A walk still running at total D + 1, D the largest boundary total, never
+    stops, so walking the non-boundary points level by level up to D + 1 decides.
+    """
+    depth = max(map(sum, plan.boundary_points())) + 1
+    live = {(0,) * plan.dim}
+    for _ in range(depth):
+        live = {
+            p[:axis] + (p[axis] + 1,) + p[axis + 1 :]
+            for p in live
+            if not plan.hits_boundary(p)
+            for axis in range(plan.dim)
+        }
+    if live:
+        raise PlanError(f"plan is open: walks reach {min(live)} at total {depth} without stopping")
+
+
 # ---------------------------------------------------------------------------
 # Truncated expectation
 # ---------------------------------------------------------------------------
@@ -380,21 +399,23 @@ def path_count(plan: SamplingPlan, point: Point) -> int:
 
 @dataclass(frozen=True)
 class ExpectationResult:
-    """Partial expectation over sample points with total count <= max_total."""
+    """Sum of estimator * pmf over the n_points sample points with total count <= max_total."""
 
     value: float
     mass: float
-    tail_prob: float
-    tail_bound: float | None
-    certified: bool
-    converged: bool
-    max_total: int
     n_points: int
-    decay_ratio: float | None = None
 
-    @property
-    def flagged(self) -> bool:
-        return not self.converged
+
+def negbin_terms(c: int, mu0: float, q: float) -> Iterator[float]:
+    """NB(c, mu0) pmf at totals 0, 1, 2, ...: mu0^c, then term *= q (c + s) / (s + 1).
+
+    q is the tracked probability 1 - mu0, passed separately so that a caller
+    holding theta itself multiplies by theta and keeps its own rounding.
+    """
+    term = mu0 ** c
+    for s in itertools.count():
+        yield term
+        term *= q * (c + s) / (s + 1)
 
 
 def negbin_tail(c: int, mu0: float, max_total: int) -> float:
@@ -404,12 +425,7 @@ def negbin_tail(c: int, mu0: float, max_total: int) -> float:
     rounding of the partial sum, so the result is a safe upper bound at
     desk scale.
     """
-    q = 1.0 - mu0
-    term = mu0 ** c
-    terms = [term]
-    for s in range(max_total):
-        term *= q * (c + s) / (s + 1)
-        terms.append(term)
+    terms = itertools.islice(negbin_terms(c, mu0, 1.0 - mu0), max_total + 1)
     return max(0.0, 1.0 - math.fsum(terms)) + 1e-12
 
 
@@ -418,62 +434,20 @@ def truncated_expectation(
     c: int,
     mu: Sequence[float],
     *,
-    tol: float = 1e-8,
-    max_total: int = 200,
-    estimator_bound: float | None = None,
+    max_total: int,
 ) -> ExpectationResult:
     """Sum estimator(x) * pmf(x) over all x with total <= max_total.
 
     `estimator` is a batch estimator: it maps an (n, t) integer array of
-    sample points to n floats (a constant broadcasts).  With
-    `estimator_bound` (a bound on |estimator| valid on the tail) the result
-    carries a certified tail bound; without one the partial sum is returned
-    with a shell-decay diagnostic and flagged as uncertified.
+    sample points to n floats (a constant broadcasts).  This is the reference
+    lattice sum and certifies nothing: tail bounds and verdicts are verify's.
     """
     mu = _check_mu(tuple(float(v) for v in mu))
-    t = len(mu)
-    mu0 = 1.0 - sum(mu)
-    points = np.array(list(iter_counts(t, max_total)), dtype=np.int64).reshape(-1, t)
-    n_points = len(points)
+    points = np.array(list(iter_counts(len(mu), max_total)), dtype=np.int64).reshape(-1, len(mu))
     masses = imn_pmf(points, c, mu)
-    contributions = np.broadcast_to(estimator(points), (n_points,)) * masses
-    value = math.fsum(contributions.tolist())
-    mass = math.fsum(masses.tolist())
-    # Shell s holds the points with total s, summed in lattice order.
-    shell_values = np.bincount(
-        points.sum(axis=1), weights=np.abs(contributions), minlength=max_total + 1
-    ).tolist()
-    tail_prob = negbin_tail(c, mu0, max_total)
-    if estimator_bound is not None:
-        tail_bound = abs(estimator_bound) * tail_prob
-        return ExpectationResult(
-            value=value,
-            mass=mass,
-            tail_prob=tail_prob,
-            tail_bound=tail_bound,
-            certified=True,
-            converged=tail_bound <= tol,
-            max_total=max_total,
-            n_points=n_points,
-        )
-    nonzero = [v for v in shell_values if v > 0]
-    decay = nonzero[-1] / nonzero[-2] if len(nonzero) >= 2 else None
-    scale = max(1.0, abs(value))
-    converged = bool(
-        shell_values
-        and shell_values[-1] <= tol * scale
-        and (decay is None or decay < 1.0)
-    )
+    contributions = np.broadcast_to(estimator(points), (len(points),)) * masses
     return ExpectationResult(
-        value=value,
-        mass=mass,
-        tail_prob=tail_prob,
-        tail_bound=None,
-        certified=False,
-        converged=converged,
-        max_total=max_total,
-        n_points=n_points,
-        decay_ratio=decay,
+        math.fsum(contributions.tolist()), math.fsum(masses.tolist()), len(points)
     )
 
 

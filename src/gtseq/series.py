@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import DomainError, InsufficientOrderError, PlanError
 from .model import positive_nu, two_disease_radicand_forms
 from .numerics import ONE, Number, Scale, as_fraction
-from .plans import Point, SamplingPlan, iter_counts, path_count
+from .plans import Point, SamplingPlan, check_closed, iter_counts, path_count
 
 MultiIndex = tuple[int, ...]
 
@@ -374,10 +374,12 @@ def poly_representability(plan: SamplingPlan, target: AffinePowerSpec) -> Repres
     the target certifies that no unbiased estimator exists.  Otherwise the
     target is a polynomial, and Gauss-Jordan elimination on monomial
     coefficients solves for f (free values set to 0) or finds the target
-    outside the span.  An irrational constant target raises ValueError.
+    outside the span.  An open plan (some walk never stops) raises PlanError,
+    and an irrational constant target raises ValueError.
     """
     if not plan.finite or plan.dim != 2 or len(target.linear) != 1:
         raise PlanError("representability is decided for finite 2-d plans and one-variable targets")
+    check_closed(plan)
     boundary = sorted(plan.boundary_points())
     n, degree = len(boundary), max(map(sum, boundary))
     expansion = expand_affine_power(target, degree + 1)

@@ -4,7 +4,9 @@ Each check sums estimator * pmf over all sample points up to a truncation
 total and compares against the true parameter.  Estimators that are provably
 bounded get a certified tail (bound times the stopping-class tail
 probability); the misclassified one-disease estimator is unbounded, so its
-check reports a partial sum with a term-decay diagnostic instead.
+check reports a partial sum with a term-decay diagnostic instead.  Every
+certificate and pass verdict is computed here; plans.truncated_expectation is
+the uncertified reference lattice sum.
 
 The two-disease sums exploit that each component of the estimator depends
 on at most two scalar summaries of the count vector, which collapses the
@@ -23,7 +25,7 @@ from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable
 from .estimators import unbiased_one_misclass
 from .errors import ModelError
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
-from .plans import imn_pmf, negbin_tail, truncated_expectation
+from .plans import imn_pmf, negbin_tail, negbin_terms, truncated_expectation
 
 # Bounds certified by the product structure of the closed forms: the
 # perfect-test estimates lie in [0, 1]; each two-disease leading component
@@ -63,14 +65,12 @@ class VerifyRow:
 
 def stopping_quantile(c: int, mu0: float, tail_target: float, cap: int = 4000) -> int:
     """Smallest N with P(total > N) <= tail_target for a NB(c, mu0) total."""
-    q = 1.0 - mu0
-    term = mu0 ** c
-    acc = term
+    terms = negbin_terms(c, mu0, 1.0 - mu0)
+    acc = next(terms)
     n = 0
     while 1.0 - acc > tail_target and n < cap:
-        term *= q * (c + n) / (n + 1)
+        acc += next(terms)
         n += 1
-        acc += term
     return n
 
 
@@ -84,12 +84,7 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
         aim = tol / (2 * ONE_PERFECT_BOUND)
         max_total = stopping_quantile(c, mu0, aim, cap)
         result = truncated_expectation(
-            estimator_callable(EstimatorId.UB_ONE_PERFECT, c, k),
-            c,
-            (theta,),
-            tol=tol,
-            max_total=max_total,
-            estimator_bound=ONE_PERFECT_BOUND,
+            estimator_callable(EstimatorId.UB_ONE_PERFECT, c, k), c, (theta,), max_total=max_total
         )
         return VerifyRow(
             estimator=EstimatorId.UB_ONE_PERFECT.value,
@@ -97,21 +92,21 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
             target=float(model.p),
             value=result.value,
             tol=tol,
-            tail_bound=result.tail_bound,
+            tail_bound=ONE_PERFECT_BOUND * negbin_tail(c, mu0, max_total),
             certified=True,
-            max_total=result.max_total,
+            max_total=max_total,
             tail_target=ONE_PERFECT_BOUND * aim,
         )
     # Unbounded estimator: adaptive partial sum with decay diagnostic.
     tol = 1e-6 if tol is None else tol
-    pmf = mu0 ** c
     contributions = []
     decay = None
     prev = None
     quiet = 0
     mean_total = c * theta / max(mu0, 1e-12)
-    y = 0
-    while y <= cap:
+    for y, pmf in enumerate(negbin_terms(c, mu0, theta)):
+        if y > cap:
+            break
         est = float(unbiased_one_misclass(y, c, k, model.specificity, model.sensitivity))
         contrib = est * pmf
         contributions.append(contrib)
@@ -123,8 +118,6 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
         quiet = quiet + 1 if magnitude < tol * 1e-3 else 0
         if quiet >= 8 and y > mean_total:
             break
-        pmf *= theta * (c + y) / (y + 1)
-        y += 1
     value = math.fsum(contributions)
     return VerifyRow(
         estimator=EstimatorId.UB_ONE_MISCLASS.value,
@@ -164,13 +157,14 @@ def verify_two(
     p10 = estimator_callable(EstimatorId.UB_TWO_PERFECT, c, k, component="p10")
 
     # Leading component: depends on the total only, NB(c, mu0) sum.
-    totals = np.arange(n + 1)
-    nb_pmf = imn_pmf(totals[:, None], c, (1.0 - mu0,))
-    e00 = float(p00(np.pad(totals[:, None], ((0, 0), (2, 0)))) @ nb_pmf)
-    mass = float(np.sum(nb_pmf))
+    leading = truncated_expectation(
+        lambda x: p00(np.pad(x, ((0, 0), (2, 0)))), c, (1.0 - mu0,), max_total=n
+    )
+    e00, mass = leading.value, leading.mass
 
     # Cross components: (own count, sum of the other two) over the triangle own + rest <= n.
     # p10 at (own, 0, rest) equals p01 at (0, own, rest), so one estimate serves both sums.
+    totals = np.arange(n + 1)
     pairs = np.column_stack(np.nonzero(np.add.outer(totals, totals) <= n))
     cross = p10(np.insert(pairs, 1, 0, axis=1))
 

@@ -344,6 +344,35 @@ class TestScanProperness:
         assert v.sample == (0,) and v.kind is ViolationKind.BELOW_ZERO
         assert v.value == pytest.approx(-0.05718827974184881, abs=1e-10)
 
+    def test_misclassified_witness_at_zero(self):
+        # p_hat(0) = 1 - (sens/nu)^(1/k) with nu = spec + sens - 1: negative whenever spec < 1.
+        violations = scan_properness(
+            EstimatorId.UB_ONE_MISCLASS, 5, 5,
+            specificity=F("0.98"), sensitivity=F("0.95"), bound=0,
+        )
+        assert [(v.sample, v.kind) for v in violations] == [((0,), ViolationKind.BELOW_ZERO)]
+        assert violations[0].value == pytest.approx(-0.004264547100649496, rel=1e-12)
+        assert violations[0].value == pytest.approx(1 - (0.95 / 0.93) ** (1 / 5), rel=1e-12)
+
+    def test_two_trait_misclassified_witnesses_at_zero(self):
+        # At z = 0 the leading component exceeds 1 and both cross components are negative.
+        misclass = independent_errors(
+            IndepErrorParams(F("0.98"), F("0.95"), F("0.97"), F("0.9"))
+        )
+        violations = scan_properness(
+            EstimatorId.UB_TWO_MISCLASS_SERIES, 1, 2, misclass=misclass, bound=0
+        )
+        want = [
+            ("p00", ViolationKind.ABOVE_ONE, 1.027973588992585),
+            ("p10", ViolationKind.BELOW_ZERO, -0.010878333561369358),
+            ("p01", ViolationKind.BELOW_ZERO, -0.017278097588727004),
+        ]
+        assert [(v.sample, v.component, v.kind) for v in violations] == [
+            ((0, 0, 0), name, kind) for name, kind, _ in want
+        ]
+        for v, (_, _, value) in zip(violations, want):
+            assert v.value == pytest.approx(value, rel=1e-12), v.component
+
     def test_sensitivity_only_divergence_found(self):
         violations = scan_properness(
             EstimatorId.UB_ONE_MISCLASS, 1, 2,

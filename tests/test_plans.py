@@ -1,5 +1,6 @@
 """Plans: pmf vs enumeration, path counts vs brute force, walks, diagnostics."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from gtseq.plans import (
     iter_counts,
     load_plan,
     negbin_tail,
+    negbin_terms,
     path_count,
     save_plan,
     simulate,
@@ -220,16 +222,17 @@ class TestSimulate:
 
 class TestTruncatedExpectation:
     def test_constant_estimator_recovers_mass(self):
-        result = truncated_expectation(lambda x: 1.0, 2, (0.3,), max_total=60, estimator_bound=1.0)
-        assert result.certified
-        assert result.value + result.tail_prob == pytest.approx(1.0, abs=1e-9)
+        result = truncated_expectation(lambda x: 1.0, 2, (0.3,), max_total=60)
+        assert result.value == result.mass
+        assert result.mass + negbin_tail(2, 0.7, 60) == pytest.approx(1.0, abs=1e-9)
 
     def test_unbiasedness_one_disease(self):
         # theta for p=0.1, k=2 perfect: 0.19
         fn = estimator_callable(EstimatorId.UB_ONE_PERFECT, 3, 2)
-        result = truncated_expectation(fn, 3, (0.19,), tol=1e-8, max_total=80, estimator_bound=1.0)
-        assert result.converged
-        assert abs(result.value - 0.1) <= 1e-8 + result.tail_bound
+        result = truncated_expectation(fn, 3, (0.19,), max_total=80)
+        tail_bound = 1.0 * negbin_tail(3, 0.81, 80)
+        assert tail_bound <= 1e-8
+        assert abs(result.value - 0.1) <= 1e-8 + tail_bound
 
     def test_unbiasedness_two_disease_components(self):
         from gtseq.model import TwoDiseaseModel, pool_cell_probs
@@ -239,10 +242,9 @@ class TestTruncatedExpectation:
         truths = dict(zip(("p00", "p10", "p01", "p11"), (float(v) for v in model.prevalences())))
         for component, truth in truths.items():
             fn = estimator_callable(EstimatorId.UB_TWO_PERFECT, 3, 2, component=component)
-            result = truncated_expectation(
-                fn, 3, cells[:3], max_total=45, estimator_bound=4.0
-            )
-            assert abs(result.value - truth) <= 1e-6 + result.tail_bound, component
+            result = truncated_expectation(fn, 3, cells[:3], max_total=45)
+            tail_bound = 4.0 * negbin_tail(3, cells[3], 45)
+            assert abs(result.value - truth) <= 1e-6 + tail_bound, component
 
     def test_batch_sum_matches_pointwise_exact_oracle(self):
         # The array sum equals a point-by-point sum of the exact estimator.
@@ -259,21 +261,20 @@ class TestTruncatedExpectation:
             assert result.n_points == len(points)
             assert result.value == pytest.approx(oracle, rel=1e-14, abs=1e-16), component
 
-    def test_uncertified_mode_reports_decay(self):
+    def test_misclassified_partial_sum(self):
+        # The unbounded estimator has no tail certificate; the plain sum still lands on p.
         fn = estimator_callable(
             EstimatorId.UB_ONE_MISCLASS, 2, 2, specificity=0.98, sensitivity=0.95
         )
-        result = truncated_expectation(fn, 2, (0.1967,), tol=1e-6, max_total=70)
-        assert not result.certified and result.tail_bound is None
-        assert result.decay_ratio is not None and result.decay_ratio < 1
-        assert result.converged
+        result = truncated_expectation(fn, 2, (0.1967,), max_total=70)
         assert result.value == pytest.approx(0.1, abs=1e-6)
 
-    def test_unreachable_tolerance_flagged(self):
-        result = truncated_expectation(
-            lambda x: 1.0, 1, (0.5,), tol=1e-12, max_total=5, estimator_bound=1.0
-        )
-        assert result.flagged and not result.converged
+    def test_negbin_terms_take_the_ratio_base_as_given(self):
+        # theta and 1 - (1 - theta) differ in the last bit; each caller keeps its own.
+        theta = 0.1967
+        terms = list(itertools.islice(negbin_terms(2, 1.0 - theta, theta), 4))
+        assert terms[0] == (1.0 - theta) ** 2
+        assert terms[3] == terms[2] * (theta * 4 / 3)
 
     def test_negbin_tail_upper_bound(self):
         # exact tail for c=1: theta^(N+1)
@@ -358,13 +359,16 @@ class TestPolyRepresentability:
             poly_representability(imn_plan(1, 2), LINEAR)
         with pytest.raises(PlanError):
             poly_representability(FixedTotalPlan(3, 2), LINEAR)
+        # Walks whose first step is positive never stop: the plan is open.
+        with pytest.raises(PlanError, match=r"open: walks reach \(1, 3\) at total 4"):
+            poly_representability(ExplicitPlan(2, frozenset({(0, 1), (0, 3)})), LINEAR)
 
     def test_rank_deficiency_reported(self):
-        # (0, 3) lies behind (0, 1) on the axis, so no walk reaches it: rank 1 of 2.
-        plan = ExplicitPlan(2, frozenset({(0, 1), (0, 3)}))
+        # (0, 3) lies behind (0, 1) on the axis, so no walk reaches it: rank 2 of 3.
+        plan = ExplicitPlan(2, frozenset({(1, 0), (0, 1), (0, 3)}))
         linear = poly_representability(plan, LINEAR)
-        assert linear.rank_deficient and linear.rank == 1
-        assert linear.estimator == {(0, 1): 1, (0, 3): 0}
+        assert linear.rank_deficient and linear.rank == 2
+        assert linear.estimator == {(1, 0): 0, (0, 1): 1, (0, 3): 0}
         # A polynomial of low enough degree can still lie outside the span.
         square = poly_representability(plan, SQUARE)
         assert square.certificate == 0 and not square.representable
