@@ -9,8 +9,12 @@ the leading factor of each product equals the reciprocal of its prefactor,
 so the cancelled products below are defined everywhere (including the
 removable 0/0 at k = 1, c = 1) and evaluate exactly over rationals.
 
-The misclassified estimators need one Taylor coefficient per sample point,
-which :func:`_series_coefficient` evaluates directly in integer arithmetic.
+The misclassified estimators need one Taylor coefficient per sample point.
+For two traits :func:`_series_coefficient` evaluates it directly in integer
+arithmetic, O(n^2) steps at sample total n.  For one trait the coefficients
+obey a three-term recurrence, so :func:`_one_misclass_row` yields every
+y = 0, 1, 2, ... in one integer pass (:func:`unbiased_one_misclass_row`),
+which bench, verify and the scanner walk once per grid point.
 The truncated-series constructor in :mod:`gtseq.series` is the paper's
 construction, not used at run time: it is the independent oracle that the
 test suite checks every estimator here against.
@@ -19,11 +23,12 @@ test suite checks every estimator here against.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -162,6 +167,38 @@ def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: 
     return Fraction(num, den)
 
 
+def _one_misclass_row(c: int, k: int, sens: Fraction) -> Iterator[tuple[int, int]]:
+    """(A_n, den_n) for n = 0, 1, 2, ...: S(n) = A_n/den_n, the coefficient of the radicand 1 - v/sens.
+
+    S(n) is :func:`_series_coefficient` at b = (-1/sens,), x = (n,).  Its
+    product g = (1 + bv)^(1/k) (1 - v)^(-c) is D-finite:
+    (1 + bv)(1 - v) g' = (b(1 - v)/k + c(1 + bv)) g.  Over b = B/Q with
+    B = -sens.denominator, Q = sens.numerator, the scaled coefficients obey
+    A_(n+1) = (B + kcQ - k(B - Q)n) A_n + B(kc - 1 + k(n - 1)) kQn A_(n-1) and
+    den_(n+1) = den_n kQ(c + n), from A_(-1) = 0, A_0 = den_0 = 1: one integer
+    step per sample and no division, so c = 1 and k = 1 need no special case.
+    """
+    big_b, q = -sens.denominator, sens.numerator
+    kq = k * q
+    prev, a, den = 0, 1, 1
+    for n in itertools.count():
+        yield a, den
+        prev, a = a, (
+            (big_b + c * kq - k * (big_b - q) * n) * a
+            + big_b * (k * c - 1 + k * (n - 1)) * kq * n * prev
+        )
+        den *= kq * (c + n)
+
+
+def _one_misclass_radical(
+    k: int, specificity: Number, sensitivity: Number
+) -> tuple[Fraction, Scale]:
+    """(sens, (sens/nu)^(1/k)) exactly; raises on the call unless nu > 0 as passed."""
+    positive_nu(specificity, sensitivity)
+    spec_, sens = as_fraction(specificity), as_fraction(sensitivity)
+    return sens, Scale(1, sens / (spec_ + sens - 1), Fraction(1, k))
+
+
 def unbiased_one_misclass_parts(
     y: int, c: int, k: int, specificity: Number, sensitivity: Number
 ) -> tuple[Fraction, Scale]:
@@ -171,10 +208,25 @@ def unbiased_one_misclass_parts(
     and bound checks can be done exactly by comparing k-th powers.  S(y) is
     the series coefficient of the radicand 1 - v/sens at v^y.
     """
-    positive_nu(specificity, sensitivity)
-    spec_, sens = as_fraction(specificity), as_fraction(sensitivity)
-    s = _series_coefficient((-1 / sens,), (y,), c, k)
-    return Fraction(1), Scale(-s, sens / (spec_ + sens - 1), Fraction(1, k))
+    sens, radical = _one_misclass_radical(k, specificity, sensitivity)
+    a, den = next(itertools.islice(_one_misclass_row(c, k, sens), y, None))
+    return Fraction(1), radical * Fraction(-a, den)
+
+
+def unbiased_one_misclass_row(
+    c: int, k: int, specificity: Number, sensitivity: Number
+) -> Iterator[Number]:
+    """:func:`unbiased_one_misclass` at y = 0, 1, 2, ..., the same values, one recurrence step each.
+
+    Raises on the call, not on the first value, unless nu > 0.
+    """
+    sens, radical = _one_misclass_radical(k, specificity, sensitivity)
+    row = _one_misclass_row(c, k, sens)
+    if radical.is_rational:
+        return (1 - radical.coeff * Fraction(a, den) for a, den in row)
+    # int/int true division rounds correctly, so -a/den is float(-S(y)) without a gcd.
+    r = float(radical)
+    return (1.0 + (-a / den) * r for a, den in row)
 
 
 def unbiased_one_misclass(
@@ -379,9 +431,10 @@ def evaluate_table(
     """Float values (one row per sample, one column per component) and clamp flags.
 
     `samples` is an integer array with one sample point per row.  The two
-    perfect-test closed forms read one pool-factor row (O(max total) memory)
-    and MLE_TWO is :func:`mle_two_table`; only the exact misclassified
-    estimators and MLE_ONE still go through :func:`evaluate`, once per row.
+    perfect-test closed forms read one pool-factor row (O(max total) memory),
+    UB_ONE_MISCLASS one :func:`unbiased_one_misclass_row` up to the largest y,
+    and MLE_TWO is :func:`mle_two_table`; only UB_TWO_MISCLASS_SERIES and
+    MLE_ONE still go through :func:`evaluate`, once per row.
     """
     samples = np.asarray(samples, dtype=np.int64)
     n = len(samples)
@@ -397,6 +450,13 @@ def evaluate_table(
         v10 = np.where(z10 > 0, tail[totals] / tail[z10], v00) - v00
         v01 = np.where(z01 > 0, tail[totals] / tail[z01], v00) - v00
         return np.column_stack((v00, v10, v01, 1.0 - v00 - v10 - v01)), np.zeros(n, dtype=bool)
+    if estimator is EstimatorId.UB_ONE_MISCLASS:
+        y = samples[:, 0]
+        row = unbiased_one_misclass_row(
+            c, k, params.get("specificity", 1), params.get("sensitivity", 1)
+        )
+        values = np.array([float(v) for v in itertools.islice(row, int(y.max(initial=0)) + 1)])
+        return values[y][:, None], np.zeros(n, dtype=bool)
     if estimator is EstimatorId.MLE_TWO:
         return mle_two_table(samples, c, k, params.get("misclass"))
     results = [evaluate(estimator, tuple(x), c, k, **params) for x in samples.tolist()]
@@ -409,25 +469,25 @@ def evaluate_table(
 # ---------------------------------------------------------------------------
 
 
-def _one_disease_violation(
-    y: int, c: int, k: int, specificity: Number, sensitivity: Number
-) -> PropernessViolation | None:
-    """Exact-sign check of the one-disease estimate at sample y."""
-    if specificity == 1 and sensitivity == 1:
-        p_hat = unbiased_one(y, c, k)
-        if p_hat < 0:
-            return PropernessViolation((y,), "p", float(p_hat), ViolationKind.BELOW_ZERO)
-        if p_hat > 1:
-            return PropernessViolation((y,), "p", float(p_hat), ViolationKind.ABOVE_ONE)
-        return None
-    const, radical = unbiased_one_misclass_parts(y, c, k, specificity, sensitivity)
-    # p_hat = 1 + coeff * base^(1/k) with base > 0 (base = 1 once folded); compare k-th powers.
-    value = float(const) + float(radical)
+def _one_perfect_violations(y: int, c: int, k: int) -> list[PropernessViolation]:
+    """Bound check of the exact perfect-test estimate at sample y."""
+    p_hat = unbiased_one(y, c, k)
+    if p_hat < 0:
+        return [PropernessViolation((y,), "p", float(p_hat), ViolationKind.BELOW_ZERO)]
+    if p_hat > 1:
+        return [PropernessViolation((y,), "p", float(p_hat), ViolationKind.ABOVE_ONE)]
+    return []
+
+
+def _one_misclass_violations(y: int, k: int, radical: Scale) -> list[PropernessViolation]:
+    """Exact-sign check of the misclassified estimate p_hat = 1 + radical at sample y."""
+    # radical = coeff * base^(1/k) with base > 0 (base = 1 once folded); compare k-th powers.
+    value = 1.0 + float(radical)
     if radical.coeff > 0:
-        return PropernessViolation((y,), "p", value, ViolationKind.ABOVE_ONE)
+        return [PropernessViolation((y,), "p", value, ViolationKind.ABOVE_ONE)]
     if (-radical.coeff) ** k * radical.base > 1:
-        return PropernessViolation((y,), "p", value, ViolationKind.BELOW_ZERO)
-    return None
+        return [PropernessViolation((y,), "p", value, ViolationKind.BELOW_ZERO)]
+    return []
 
 
 def _simplex_violations(
@@ -476,24 +536,21 @@ def scan_properness(
     if estimator in (EstimatorId.MLE_ONE, EstimatorId.MLE_TWO):
         return violations
 
-    if FAMILY[estimator] == "one":
-        # Passed as given: unbiased_one_misclass_parts judges nu before it converts them.
-        misclassified = estimator is EstimatorId.UB_ONE_MISCLASS
-        spec_, sens = (specificity, sensitivity) if misclassified else (1, 1)
-        points = range(bound + 1)
-
-        def check(y):
-            hit = _one_disease_violation(y, c, k, spec_, sens)
-            return [] if hit is None else [hit]
+    if FAMILY[estimator] == "two":
+        found = (
+            _simplex_violations(z, evaluate(estimator, z, c, k, misclass=misclass)[0])
+            for z in iter_counts(3, bound)
+        )
+    elif estimator is EstimatorId.UB_ONE_MISCLASS and not (specificity == 1 and sensitivity == 1):
+        # Passed as given: _one_misclass_radical judges nu before it converts them.
+        sens, radical = _one_misclass_radical(k, specificity, sensitivity)
+        row = zip(range(bound + 1), _one_misclass_row(c, k, sens))
+        found = (_one_misclass_violations(y, k, radical * Fraction(-a, den)) for y, (a, den) in row)
     else:
-        points = iter_counts(3, bound)
+        found = (_one_perfect_violations(y, c, k) for y in range(bound + 1))
 
-        def check(z):
-            values, _ = evaluate(estimator, z, c, k, misclass=misclass)
-            return _simplex_violations(z, values)
-
-    for x in points:
-        violations.extend(check(x))
+    for hits in found:
+        violations.extend(hits)
         if max_violations is not None and len(violations) >= max_violations:
             break
     return violations

@@ -466,7 +466,8 @@ def axis_boundary_check(plan: SamplingPlan) -> AxisCheckResult:
 
     Exactly one such point is necessary for unbiased estimation under the
     plan: the all-reference walk must stop somewhere, and at exactly one
-    place.  Designs that stop on the tracked coordinate have none.
+    place.  Designs that stop on the tracked coordinate have none.  An open
+    explicit plan fails whatever its count: some walk never stops.
     """
     if plan.dim != 2:
         raise PlanError("axis check is defined for 2-dimensional plans")
@@ -477,6 +478,10 @@ def axis_boundary_check(plan: SamplingPlan) -> AxisCheckResult:
     elif isinstance(plan, ExplicitPlan):
         # Only the lowest axis point is reachable; higher ones are shadowed.
         count = 1 if any(p[0] == 0 for p in plan.points) else 0
+        try:
+            check_closed(plan)
+        except PlanError:
+            return AxisCheckResult(count, False)
     else:
         raise PlanError(f"unsupported plan type {type(plan).__name__}")
     return AxisCheckResult(count, count == 1)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable
-from .estimators import unbiased_one_misclass
+from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable, unbiased_one_misclass_row
+# Not called since verify_one walks the one-pass row; perfbench/spans.py traces this name.
+from .estimators import unbiased_one_misclass  # noqa: F401
 from .errors import ModelError
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
 from .plans import imn_pmf, negbin_tail, negbin_terms, truncated_expectation
@@ -49,6 +50,7 @@ class VerifyRow:
     max_total: int
     decay_ratio: float | None = None
     tail_target: float | None = None  # the tail bound the truncation total aimed at
+    capped: bool = False  # an uncertified sum stopped at its cap before its stopping rule held
 
     @property
     def error(self) -> float:
@@ -60,7 +62,7 @@ class VerifyRow:
             # A truncation that stopped short of its tail target (at its cap) certifies nothing.
             tail = self.tail_bound
             return tail <= self.tail_target and self.error <= self.tol + tail
-        return self.error <= self.tol and (self.decay_ratio or math.inf) < 1.0
+        return not self.capped and self.error <= self.tol and (self.decay_ratio or math.inf) < 1.0
 
 
 def stopping_quantile(c: int, mu0: float, tail_target: float, cap: int = 4000) -> int:
@@ -103,12 +105,11 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
     decay = None
     prev = None
     quiet = 0
+    capped = False
     mean_total = c * theta / max(mu0, 1e-12)
-    for y, pmf in enumerate(negbin_terms(c, mu0, theta)):
-        if y > cap:
-            break
-        est = float(unbiased_one_misclass(y, c, k, model.specificity, model.sensitivity))
-        contrib = est * pmf
+    estimates = unbiased_one_misclass_row(c, k, model.specificity, model.sensitivity)
+    for y, pmf, est in zip(range(cap + 1), negbin_terms(c, mu0, theta), estimates):
+        contrib = float(est) * pmf
         contributions.append(contrib)
         magnitude = abs(contrib)
         if prev is not None and prev > 0 and magnitude > 0:
@@ -118,6 +119,8 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
         quiet = quiet + 1 if magnitude < tol * 1e-3 else 0
         if quiet >= 8 and y > mean_total:
             break
+    else:
+        capped = True
     value = math.fsum(contributions)
     return VerifyRow(
         estimator=EstimatorId.UB_ONE_MISCLASS.value,
@@ -129,6 +132,7 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
         certified=False,
         max_total=y,
         decay_ratio=decay,
+        capped=capped,
     )
 
 

@@ -9,13 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtseq import estimators
+from gtseq.bench import run_mode
+from gtseq.config import parse_config
 from gtseq.errors import DomainError, IdentifiabilityError
 from gtseq.estimators import (
     FAMILY,
     TWO_COMPONENTS,
     EstimatorId,
     ViolationKind,
+    _one_misclass_row,
     _pool_factor_rows,
+    _series_coefficient,
     estimator_callable,
     evaluate,
     evaluate_table,
@@ -26,6 +31,7 @@ from gtseq.estimators import (
     unbiased_one,
     unbiased_one_misclass,
     unbiased_one_misclass_parts,
+    unbiased_one_misclass_row,
     unbiased_two,
     unbiased_two_misclass,
 )
@@ -47,6 +53,7 @@ from gtseq.series import (
     unbiased_from_series,
     unbiased_parts,
 )
+from gtseq.verify import verify_one
 
 
 class TestUnbiasedOne:
@@ -129,6 +136,81 @@ class TestUnbiasedOneMisclass:
             # p-estimate = 1 - q-estimate: radicals must match with opposite sign
             assert parts[0].radical_key() == radical.radical_key()
             assert parts[0].coeff == -radical.coeff
+
+
+class TestUnbiasedOneMisclassRow:
+    """The one-pass recurrence row against the direct coefficient kernel and the closed form."""
+
+    @pytest.mark.parametrize("sens", [0.95, F("0.95"), F(1), F(1, 2)])
+    @pytest.mark.parametrize("c", [1, 2, 5, 20])
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_row_equals_series_coefficient(self, sens, c, k):
+        sens = F(sens)
+        for y, (a, den) in zip(range(120), _one_misclass_row(c, k, sens)):
+            assert F(a, den) == _series_coefficient((-1 / sens,), (y,), c, k), y
+
+    @pytest.mark.parametrize(
+        "spec_, sens", [(0.98, 0.95), (F("0.98"), F("0.95")), (F(1), F("0.9")), (1.0, 0.9)]
+    )
+    @pytest.mark.parametrize("c, k", [(1, 1), (1, 2), (5, 10), (20, 5)])
+    def test_table_equals_per_sample_bitwise(self, spec_, sens, c, k):
+        samples = np.array([[7], [0], [90], [3], [0], [41], [90], [1]])
+        values, clamped = evaluate_table(
+            EstimatorId.UB_ONE_MISCLASS, samples, c, k, specificity=spec_, sensitivity=sens
+        )
+        assert values.shape == (len(samples), 1) and not clamped.any()
+        for (y,), value in zip(samples.tolist(), values[:, 0].tolist()):
+            (exact,), _ = evaluate(
+                EstimatorId.UB_ONE_MISCLASS, (y,), c, k, specificity=spec_, sensitivity=sens
+            )
+            assert value == float(exact), y
+
+    @pytest.mark.parametrize("c, k", [(1, 1), (1, 3), (4, 2), (20, 10)])
+    def test_perfect_test_row_is_unbiased_one(self, c, k):
+        row = unbiased_one_misclass_row(c, k, F(1), F(1))
+        for y, value in zip(range(60), row):
+            assert isinstance(value, F) and value == unbiased_one(y, c, k), y
+
+    def test_nu_nonpositive_raises_on_call(self):
+        with pytest.raises(IdentifiabilityError):
+            unbiased_one_misclass_row(1, 2, F("0.55"), F("0.45"))
+        with pytest.raises(IdentifiabilityError):
+            unbiased_one_misclass_row(1, 2, 0.55, 0.45)
+
+    def test_one_trait_modes_make_no_one_trait_coefficient_call(self, monkeypatch):
+        widths = []
+
+        def counting(b, x, c, k):
+            widths.append(len(b))
+            return _series_coefficient(b, x, c, k)
+
+        monkeypatch.setattr(estimators, "_series_coefficient", counting)
+        model = OneDiseaseModel(0.05, 5, 2, 0.98, 0.95)
+        assert verify_one(model).passed
+        records, _ = run_mode(parse_config(ONE_TRAIT_MISCLASS_BENCH))
+        assert any(r.estimator == "UB_ONE_MISCLASS" for r in records)
+        assert scan_properness(
+            EstimatorId.UB_ONE_MISCLASS, 2, 5, specificity=0.9, sensitivity=0.95, bound=80
+        )
+        assert 1 not in widths
+        # The counter sees the two-trait kernel, which still evaluates per sample.
+        unbiased_two_misclass((1, 2, 0), 1, 2, DYADIC_ERRORS)
+        assert widths and 1 not in widths
+
+
+ONE_TRAIT_MISCLASS_BENCH = """\
+[run]
+mode = bench
+seed = 3
+replicates = 200
+
+[model]
+p = 0.05
+k = 5
+c = 2
+misclass = 0.98:0.95
+estimators = ub
+"""
 
 
 class TestUnbiasedTwo:
@@ -386,7 +468,7 @@ class TestScanProperness:
 
     @pytest.mark.parametrize("spec, sens", [(F("0.4"), F("0.5")), (F(1, 2), F(1, 2)), (0.55, 0.45)])
     def test_unidentifiable_errors_raise_the_estimator_error(self, spec, sens):
-        # The scanner evaluates unbiased_one_misclass_parts, so it fails as the estimator does.
+        # The scanner judges nu through the estimator's own check, so it fails as the estimator does.
         with pytest.raises(IdentifiabilityError, match="must be positive"):
             scan_properness(
                 EstimatorId.UB_ONE_MISCLASS, 1, 2, specificity=spec, sensitivity=sens, bound=20

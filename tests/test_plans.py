@@ -295,8 +295,13 @@ class TestAxisBoundaryCheck:
         assert axis_boundary_check(FixedTotalPlan(2, 5)) == (1, True)
 
     def test_explicit_with_shadowed_axis_points(self):
-        plan = ExplicitPlan(2, frozenset({(0, 2), (0, 5), (1, 1)}))
+        plan = ExplicitPlan(2, frozenset({(0, 2), (0, 5), (1, 1), (2, 0)}))
         assert axis_boundary_check(plan) == (1, True)
+
+    def test_open_explicit_plan_fails(self):
+        # Walks whose first step is positive never stop, although (0, 1) is the one axis point.
+        plan = ExplicitPlan(2, frozenset({(0, 1), (0, 3)}))
+        assert axis_boundary_check(plan) == (1, False)
 
     def test_explicit_without_axis_points(self):
         plan = ExplicitPlan(2, frozenset({(1, 1), (2, 0)}))

@@ -46,6 +46,12 @@ class TestVerifyOne:
         assert row.certified and row.max_total == 50 and row.tail_bound > 0.5
         assert not row.passed
 
+    def test_capped_misclassified_sum_fails(self):
+        # Fourteen terms are summed; the stopping rule needs eight quiet ones past the mean.
+        row = verify_one(OneDiseaseModel(0.05, 5, 5, 0.98, 0.95), cap=14)
+        assert not row.certified and row.max_total == 14
+        assert not row.passed
+
     def test_failure_reported_not_hidden(self):
         row = verify_one(OneDiseaseModel(0.05, 5, 2, 0.98, 0.95), tol=1e-30)
         assert not row.passed
