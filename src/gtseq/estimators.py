@@ -11,10 +11,13 @@ removable 0/0 at k = 1, c = 1) and evaluate exactly over rationals.
 
 The misclassified estimators need one Taylor coefficient per sample point.
 For two traits :func:`_series_coefficient` evaluates it directly in integer
-arithmetic, O(n^2) steps at sample total n.  For one trait the coefficients
-obey a three-term recurrence, so :func:`_one_misclass_row` yields every
-y = 0, 1, 2, ... in one integer pass (:func:`unbiased_one_misclass_row`),
-which bench, verify and the scanner walk once per grid point.
+arithmetic from the polynomial prod_j (1 + p_j s)^(z_j), built one factor at
+a time; the scanner steps that polynomial from each lattice point to the
+next (:func:`_two_misclass_walk`), one factor per point.  For one trait the
+coefficients obey a three-term recurrence, so :func:`_one_misclass_row`
+yields every y = 0, 1, 2, ... in one integer pass
+(:func:`unbiased_one_misclass_row`), which bench, verify and the scanner
+walk once per grid point.
 The truncated-series constructor in :mod:`gtseq.series` is the paper's
 construction, not used at run time: it is the independent oracle that the
 test suite checks every estimator here against.
@@ -137,6 +140,32 @@ def unbiased_one(y: int, c: int, k: int) -> Fraction:
     return 1 - _descending_pool_product(k, c, 0, y)
 
 
+def _integer_slopes(b: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """(p, q) with b = p/q, q the common denominator of the slopes b."""
+    q = math.lcm(*(v.denominator for v in b))
+    return tuple(v.numerator * (q // v.denominator) for v in b), q
+
+
+def _affine_power_step(e: list[int], p: int) -> list[int]:
+    """e(s) (1 + p s): one more factor of prod_j (1 + p_j s)^(x_j), O(len(e)) integer steps."""
+    if not p:
+        return e
+    return [a + p * b for a, b in zip(e + [0], [0] + e)]
+
+
+def _nested_series_value(e: list[int], n: int, c: int, k: int, q: int) -> Fraction:
+    """sum_d (1/k)_d (c)_(n-d) E_d / (q^d (c)_n) over E = e, nested from the top degree.
+
+    T_d = E_d + (1 - dk) T_(d+1) / (kq (c+n-1-d)), value T_0: integer steps, one
+    division at the end.
+    """
+    num, den = e[-1], 1
+    for d in reversed(range(len(e) - 1)):
+        step = k * q * (c + n - 1 - d)
+        num, den = e[d] * den * step + (1 - d * k) * num, den * step
+    return Fraction(num, den)
+
+
 def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: int) -> Fraction:
     """The series estimator's value at sample point x for a radicand a0 (1 + b.mu), less a0^(1/k).
 
@@ -144,27 +173,18 @@ def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: 
     in (1 + b.mu)^(1/k) (1 - sum(mu))^(-c), which equals sum_d (1/k)_d
     (c)_(n-d) e_d / (c)_n, with (1/k)_d a falling and (c)_m a rising
     factorial, and e_d the t^d coefficient of prod_j (1 + b_j t)^(x_j).  Over
-    b = p/q with common denominator q every step is an integer operation,
-    O(n^2) of them.
+    b = p/q with common denominator q, E_d = e_d q^d are the s^d coefficients
+    of prod_j (1 + p_j s)^(x_j), built one factor at a time
+    (:func:`_affine_power_step`, O(n) integer steps each) and read by
+    :func:`_nested_series_value`.  The scanner's lattice walk takes the same
+    steps, one per sample point.
     """
-    q = math.lcm(*(v.denominator for v in b))
-    # E_d = e_d q^d: the s^d coefficients of prod_j (1 + p_j s)^(x_j).
+    p, q = _integer_slopes(b)
     e = [1]
-    for bj, xj in zip(b, x):
-        pj = bj.numerator * (q // bj.denominator)
-        if pj:
-            factor = [math.comb(xj, i) * pj**i for i in range(xj + 1)]
-            e = [
-                sum(e[d - i] * factor[i] for i in range(max(0, d + 1 - len(e)), min(d, xj) + 1))
-                for d in range(len(e) + xj)
-            ]
-    # Nested from the top degree: T_d = E_d + (1 - dk) T_(d+1) / (kq (c+n-1-d)), value T_0.
-    n = sum(x)
-    num, den = e[-1], 1
-    for d in reversed(range(len(e) - 1)):
-        step = k * q * (c + n - 1 - d)
-        num, den = e[d] * den * step + (1 - d * k) * num, den * step
-    return Fraction(num, den)
+    for pj, xj in zip(p, x):
+        for _ in range(xj):
+            e = _affine_power_step(e, pj)
+    return _nested_series_value(e, sum(x), c, k, q)
 
 
 def _one_misclass_row(c: int, k: int, sens: Fraction) -> Iterator[tuple[int, int]]:
@@ -208,6 +228,8 @@ def unbiased_one_misclass_parts(
     and bound checks can be done exactly by comparing k-th powers.  S(y) is
     the series coefficient of the radicand 1 - v/sens at v^y.
     """
+    if y < 0 or c < 1 or k < 1:
+        raise ValueError("require y >= 0, c >= 1, k >= 1")
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
     a, den = next(itertools.islice(_one_misclass_row(c, k, sens), y, None))
     return Fraction(1), radical * Fraction(-a, den)
@@ -218,8 +240,10 @@ def unbiased_one_misclass_row(
 ) -> Iterator[Number]:
     """:func:`unbiased_one_misclass` at y = 0, 1, 2, ..., the same values, one recurrence step each.
 
-    Raises on the call, not on the first value, unless nu > 0.
+    Raises on the call, not on the first value, unless nu > 0, c >= 1 and k >= 1.
     """
+    if c < 1 or k < 1:
+        raise ValueError("require c >= 1, k >= 1")
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
     row = _one_misclass_row(c, k, sens)
     if radical.is_rational:
@@ -295,13 +319,72 @@ def unbiased_two(
     return (p00, p10, p01, 1 - p00 - p10 - p01)
 
 
+class _TwoMisclassForms(NamedTuple):
+    """The two-trait series estimator's per-model constants, components 00/10/01 in order.
+
+    Component i's series value at z is a0_i^(1/k) S_i(z), S_i the
+    :func:`_series_coefficient` of its slopes b_i = p_i/q_i, and a0_i^(1/k)
+    folds to coeff base^exponent (:class:`Scale`).  `merge` lists, for p00,
+    p10 and p01, its terms in sorted (base, exponent) order: the weights of
+    (S_00, S_10, S_01) in the term's rational factor, and the radical
+    float(base)**float(exponent), None where it is rational.  float(Scale(q,
+    base, exponent)) of a folded key is float(q) times that radical, so every
+    float keeps its bits.
+    """
+
+    slopes: tuple[tuple[Fraction, ...], ...]
+    p: tuple[tuple[int, ...], ...]
+    q: tuple[int, ...]
+    merge: tuple[tuple[tuple[tuple[Fraction, ...], float | None], ...], ...]
+
+
 @lru_cache(maxsize=64)
-def _two_misclass_forms(k: int, misclass: MisclassModel | None) -> dict[str, tuple[Scale, tuple]]:
-    """Per component 00/10/01: the a0^(1/k) scale and normalized slope b = a/a0 of its radicand."""
-    return {
-        name: (Scale(1, a0, Fraction(1, k)), tuple(a / a0 for a in linear))
-        for name, (a0, linear) in two_disease_radicand_forms(misclass).items()
-    }
+def _two_misclass_forms(k: int, misclass: MisclassModel | None) -> _TwoMisclassForms:
+    """The radicands' slopes and the radical merge of p00 = S00, p10 = S10 - S00, p01 = S01 - S00."""
+    forms = two_disease_radicand_forms(misclass)
+    scales = [Scale(1, a0, Fraction(1, k)) for a0, _ in forms.values()]
+    slopes = tuple(tuple(a / a0 for a in linear) for a0, linear in forms.values())
+    integer = [_integer_slopes(b) for b in slopes]
+    merge = []
+    for signs in ((1, 0, 0), (-1, 1, 0), (-1, 0, 1)):
+        terms: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+        for i, (sign, scale) in enumerate(zip(signs, scales)):
+            if sign:
+                weights = terms.setdefault(scale.radical_key(), [Fraction(0)] * 3)
+                weights[i] += sign * scale.coeff
+        merge.append(tuple(
+            (tuple(weights), None if base == 1 else float(base) ** float(exponent))
+            for (base, exponent), weights in sorted(terms.items())
+        ))
+    return _TwoMisclassForms(
+        slopes, tuple(p for p, _ in integer), tuple(q for _, q in integer), tuple(merge)
+    )
+
+
+def _two_misclass_values(
+    merge: tuple, coefficients: tuple[Fraction, Fraction, Fraction]
+) -> tuple[Number, Number, Number, Number]:
+    """(p00, p10, p01, p11) from the three series coefficients, merged by radical.
+
+    Exact when every surviving (nonzero) term's radical is rational, else a
+    float summed in sorted radical order, bit for bit as
+    :func:`gtseq.series.unbiased_from_series`.
+    """
+    values = []
+    for terms in merge:
+        nonzero = []
+        for weights, radical in terms:
+            q = sum(w * s for w, s in zip(weights, coefficients) if w)
+            if q:
+                nonzero.append((q, radical))
+        if all(radical is None for _, radical in nonzero):
+            values.append(sum((q for q, _ in nonzero), Fraction(0)))
+        else:
+            values.append(float(sum(
+                float(q) if radical is None else float(q) * radical for q, radical in nonzero
+            )))
+    p00, p10, p01 = values
+    return (p00, p10, p01, 1 - p00 - p10 - p01)
 
 
 def unbiased_two_misclass(
@@ -319,30 +402,36 @@ def unbiased_two_misclass(
     radical survives (e.g. the identity case), floats otherwise.
     """
     z = tuple(int(v) for v in z)
-    pieces = {
-        name: (scale.radical_key(), scale.coeff * _series_coefficient(b, z, c, k))
-        for name, (scale, b) in _two_misclass_forms(k, misclass).items()
-    }
-    minus00 = (pieces["00"][0], -pieces["00"][1])
-    p00 = _radical_sum([pieces["00"]])
-    p10 = _radical_sum([pieces["10"], minus00])
-    p01 = _radical_sum([pieces["01"], minus00])
-    return (p00, p10, p01, 1 - p00 - p10 - p01)
+    if min(z) < 0 or c < 1 or k < 1:
+        raise ValueError("require z >= 0 componentwise, c >= 1, k >= 1")
+    forms = _two_misclass_forms(k, misclass)
+    coefficients = tuple(_series_coefficient(b, z, c, k) for b in forms.slopes)
+    return _two_misclass_values(forms.merge, coefficients)
 
 
-def _radical_sum(pieces: list[tuple[tuple[Fraction, Fraction], Fraction]]) -> Number:
-    """Sum of q * base**exponent over ((base, exponent), q) pieces, merged by radical.
+def _two_misclass_walk(
+    c: int, k: int, misclass: MisclassModel | None, bound: int
+) -> Iterator[tuple[tuple[int, int, int], tuple[Number, Number, Number, Number]]]:
+    """(z, :func:`unbiased_two_misclass` at z) over ``iter_counts(3, bound)``, lazily.
 
-    Exact when every surviving radical is trivial, else a float summed in sorted
-    radical order, bit for bit as :func:`gtseq.series.unbiased_from_series`.
+    Each point's polynomials prod_j (1 + p_j s)^(z_j) are its predecessor
+    z - e_j's times one factor, j the last nonzero axis.  In lexicographic
+    order that predecessor is the prefix point (z_0, ..., z_j - 1, 0, ...)
+    last stored for axis j, so one live polynomial per axis and component
+    suffices: O(bound) memory and O(bound) integer steps per point.
     """
-    merged: dict[tuple[Fraction, Fraction], Fraction] = {}
-    for key, q in pieces:
-        merged[key] = merged.get(key, 0) + q
-    terms = sorted((key, q) for key, q in merged.items() if q != 0)
-    if all(base == 1 for (base, _), _ in terms):
-        return sum((q for _, q in terms), Fraction(0))
-    return float(sum(float(Scale(q, base, exponent)) for (base, exponent), q in terms))
+    forms = _two_misclass_forms(k, misclass)
+    live = [[[1]] * 3 for _ in forms.p]
+    for z in iter_counts(3, bound):
+        axis = max((j for j, v in enumerate(z) if v), default=None)
+        if axis is not None:
+            for polys, p in zip(live, forms.p):
+                polys[axis:] = [_affine_power_step(polys[axis], p[axis])] * (3 - axis)
+        n = sum(z)
+        coefficients = tuple(
+            _nested_series_value(polys[-1], n, c, k, q) for polys, q in zip(live, forms.q)
+        )
+        yield z, _two_misclass_values(forms.merge, coefficients)
 
 
 def mle_two_table(
@@ -469,9 +558,16 @@ def evaluate_table(
 # ---------------------------------------------------------------------------
 
 
-def _one_perfect_violations(y: int, c: int, k: int) -> list[PropernessViolation]:
-    """Bound check of the exact perfect-test estimate at sample y."""
-    p_hat = unbiased_one(y, c, k)
+def _one_perfect_row(c: int, k: int) -> Iterator[Fraction]:
+    """:func:`unbiased_one` at y = 0, 1, 2, ..., the same Fractions, one pool factor per step."""
+    product = Fraction(1)
+    for y in itertools.count():
+        yield 1 - product
+        product *= 1 - Fraction(1, k * (c + y))
+
+
+def _one_perfect_violations(y: int, p_hat: Fraction) -> list[PropernessViolation]:
+    """Bound check of the exact perfect-test estimate p_hat at sample y."""
     if p_hat < 0:
         return [PropernessViolation((y,), "p", float(p_hat), ViolationKind.BELOW_ZERO)]
     if p_hat > 1:
@@ -519,14 +615,17 @@ def scan_properness(
 ) -> list[PropernessViolation]:
     """Enumerate sample points with total count <= bound and record violations.
 
-    Enumeration is lexicographic, so reports are reproducible.  Bound checks
-    are exact whenever the estimate is rational: one-trait radicals are
-    compared via k-th powers, and two-trait values are compared as
-    :func:`evaluate` returns them.  Floating point is used only where an
-    irrational radical survives (UB_TWO_MISCLASS_SERIES under a genuine
-    misclassification model).  `max_violations` stops the scan early once
-    that many violations are recorded, which keeps scans of divergent
-    estimators affordable.
+    Enumeration is lexicographic, so reports are reproducible.  Every family
+    walks its sample points once, lazily: the one-trait estimators carry a
+    running pool product or recurrence row, UB_TWO_MISCLASS_SERIES steps its
+    polynomials along the lattice (:func:`_two_misclass_walk`), and
+    UB_TWO_PERFECT is evaluated per point.  Bound checks are exact whenever
+    the estimate is rational: one-trait radicals are compared via k-th
+    powers, and two-trait values are compared as :func:`evaluate` returns
+    them.  Floating point is used only where an irrational radical survives
+    (UB_TWO_MISCLASS_SERIES under a genuine misclassification model).
+    `max_violations` stops the scan early once that many violations are
+    recorded, which keeps scans of divergent estimators affordable.
 
     MLE baselines are proper by construction and always yield an empty list.
     """
@@ -536,7 +635,13 @@ def scan_properness(
     if estimator in (EstimatorId.MLE_ONE, EstimatorId.MLE_TWO):
         return violations
 
-    if FAMILY[estimator] == "two":
+    if c < 1 or k < 1:
+        raise ValueError("require c >= 1, k >= 1")
+
+    if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
+        walk = _two_misclass_walk(c, k, misclass, bound)
+        found = (_simplex_violations(z, values) for z, values in walk)
+    elif FAMILY[estimator] == "two":
         found = (
             _simplex_violations(z, evaluate(estimator, z, c, k, misclass=misclass)[0])
             for z in iter_counts(3, bound)
@@ -547,7 +652,8 @@ def scan_properness(
         row = zip(range(bound + 1), _one_misclass_row(c, k, sens))
         found = (_one_misclass_violations(y, k, radical * Fraction(-a, den)) for y, (a, den) in row)
     else:
-        found = (_one_perfect_violations(y, c, k) for y in range(bound + 1))
+        row = zip(range(bound + 1), _one_perfect_row(c, k))
+        found = (_one_perfect_violations(y, p_hat) for y, p_hat in row)
 
     for hits in found:
         violations.extend(hits)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 from fractions import Fraction as F
 
 import numpy as np
@@ -19,8 +20,11 @@ from gtseq.estimators import (
     EstimatorId,
     ViolationKind,
     _one_misclass_row,
+    _one_perfect_row,
     _pool_factor_rows,
     _series_coefficient,
+    _simplex_violations,
+    _two_misclass_walk,
     estimator_callable,
     evaluate,
     evaluate_table,
@@ -114,6 +118,14 @@ class TestUnbiasedOneMisclass:
         with pytest.raises(IdentifiabilityError):
             unbiased_one_misclass(1, 1, 2, F("0.55"), F("0.45"))
 
+    @pytest.mark.parametrize("y, c, k", [(-1, 1, 2), (0, 0, 2), (0, 1, 0), (3, -3, 2)])
+    def test_invalid_sample_or_design_rejected(self, y, c, k):
+        # These gave islice's message or ZeroDivisionError.
+        with pytest.raises(ValueError, match=r"require y >= 0, c >= 1, k >= 1"):
+            unbiased_one_misclass(y, c, k, F("0.98"), F("0.95"))
+        with pytest.raises(ValueError, match=r"require y >= 0, c >= 1, k >= 1"):
+            unbiased_one_misclass_parts(y, c, k, 0.98, 0.95)
+
     def test_float_nu_judged_as_passed(self):
         # 0.55 + 0.45 - 1 is 0 in floats but 2^-54 between the binary values;
         # the estimator used to accept the latter and return -9.0e7.
@@ -176,6 +188,11 @@ class TestUnbiasedOneMisclassRow:
             unbiased_one_misclass_row(1, 2, F("0.55"), F("0.45"))
         with pytest.raises(IdentifiabilityError):
             unbiased_one_misclass_row(1, 2, 0.55, 0.45)
+
+    @pytest.mark.parametrize("c, k", [(0, 2), (1, 0), (-3, 2)])
+    def test_invalid_design_raises_on_call(self, c, k):
+        with pytest.raises(ValueError, match=r"require c >= 1, k >= 1"):
+            unbiased_one_misclass_row(c, k, F("0.98"), F("0.95"))
 
     def test_one_trait_modes_make_no_one_trait_coefficient_call(self, monkeypatch):
         widths = []
@@ -302,6 +319,17 @@ class TestUnbiasedTwoMisclass:
             assert [(type(v), v) for v in got] == [(type(v), v) for v in want], z
 
     @pytest.mark.parametrize(
+        "z, c, k",
+        [((0, -2, 1), 1, 2), ((-1, 0, 0), 1, 2), ((1, 0, 0), -3, 2), ((1, 0, 0), 0, 2), ((1, 0, 0), 1, 0)],
+    )
+    def test_invalid_sample_or_design_rejected(self, z, c, k):
+        # (0, -2, 1) returned (0, 0, 1.5426..., -0.5426...) and c = -3 returned values;
+        # (-1, 0, 0) raised IndexError and c = 0 or k = 0 ZeroDivisionError.
+        mis = independent_errors(IndepErrorParams(0.98, 0.95, 0.97, 0.9))
+        with pytest.raises(ValueError, match=r"require z >= 0 componentwise, c >= 1, k >= 1"):
+            unbiased_two_misclass(z, c, k, mis)
+
+    @pytest.mark.parametrize(
         "margins",
         [(F("0.5"), F("0.5"), F("0.9"), F("0.9")), (0.55, 0.45, 0.9, 0.9)],
         ids=["exact", "float"],
@@ -412,9 +440,75 @@ class TestMleTwo:
         assert sum(result.p) == pytest.approx(1, abs=1e-15)
 
 
+DECIMAL_PARAMS = IndepErrorParams(F("0.98"), F("0.95"), F("0.97"), F("0.9"))
+# Trait 2 is read without error: component 10's radical is rational and p01's
+# radical equals p00's, so the merge mixes rational with irrational terms and
+# cancels equal ones (p01 = 0 exactly at z = 0).
+TRAIT_TWO_PERFECT = independent_errors(IndepErrorParams(F("0.98"), F("0.95"), 1, 1))
+
+
+def _bitwise(values):
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+class TestTwoMisclassWalk:
+    """The scanner's lattice walk against the per-sample estimator at every point."""
+
+    @pytest.mark.parametrize(
+        "misclass, c, k, bound",
+        [
+            (independent_errors(DECIMAL_PARAMS), 1, 2, 16),
+            (DECIMAL_ERRORS, 1, 2, 6),
+            (MisclassModel.identity(), 2, 3, 10),
+            (DYADIC_ERRORS, 3, 2, 10),
+            (independent_errors(DECIMAL_PARAMS), 2, 1, 10),
+            (TRAIT_TWO_PERFECT, 1, 2, 10),
+        ],
+        ids=["decimal", "float", "identity", "dyadic", "k1", "zero-slope"],
+    )
+    def test_walk_equals_per_sample_estimator(self, misclass, c, k, bound):
+        # Every independent-errors model has zero slopes: component 10's on z10, 01's on z01.
+        walked = list(_two_misclass_walk(c, k, misclass, bound))
+        assert [z for z, _ in walked] == list(iter_counts(3, bound))
+        # The per-point scan the walk replaced, written out as the oracle.
+        oracle = []
+        for z, values in walked:
+            want, _ = evaluate(EstimatorId.UB_TWO_MISCLASS_SERIES, z, c, k, misclass=misclass)
+            assert _bitwise(values) == _bitwise(want), z
+            oracle.extend(_simplex_violations(z, want))
+        got = scan_properness(
+            EstimatorId.UB_TWO_MISCLASS_SERIES, c, k, misclass=misclass, bound=bound
+        )
+        assert [(v.sample, v.component, v.value.hex(), v.kind) for v in got] == [
+            (v.sample, v.component, v.value.hex(), v.kind) for v in oracle
+        ]
+
+    def test_walk_is_lazy(self):
+        # A full lattice at bound 10,000 holds 1.7e11 points; the scan stops at z = 0.
+        violations = scan_properness(
+            EstimatorId.UB_TWO_MISCLASS_SERIES, 1, 2,
+            misclass=independent_errors(DECIMAL_PARAMS), bound=10_000, max_violations=3,
+        )
+        assert [(v.sample, v.component, v.kind) for v in violations] == [
+            ((0, 0, 0), "p00", ViolationKind.ABOVE_ONE),
+            ((0, 0, 0), "p10", ViolationKind.BELOW_ZERO),
+            ((0, 0, 0), "p01", ViolationKind.BELOW_ZERO),
+        ]
+
+    @pytest.mark.parametrize("c, k", [(0, 2), (1, 0)])
+    def test_scan_rejects_invalid_design(self, c, k):
+        with pytest.raises(ValueError, match=r"require c >= 1, k >= 1"):
+            scan_properness(EstimatorId.UB_TWO_MISCLASS_SERIES, c, k, misclass=DYADIC_ERRORS, bound=3)
+
+
 class TestScanProperness:
     def test_perfect_one_disease_scan_is_clean(self):
         assert scan_properness(EstimatorId.UB_ONE_PERFECT, 1, 2, bound=1000) == []
+
+    @pytest.mark.parametrize("c, k", [(1, 1), (1, 2), (4, 3)])
+    def test_perfect_row_is_unbiased_one(self, c, k):
+        for y, value in zip(range(150), _one_perfect_row(c, k)):
+            assert isinstance(value, F) and value == unbiased_one(y, c, k), y
 
     def test_misclassified_negative_at_zero(self):
         violations = scan_properness(
@@ -454,6 +548,17 @@ class TestScanProperness:
         ]
         for v, (_, _, value) in zip(violations, want):
             assert v.value == pytest.approx(value, rel=1e-12), v.component
+
+    def test_shipped_two_trait_misclass_config(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "scan_two_misclass.cfg"
+        records, ok = run_mode(parse_config(path.read_text(encoding="utf-8")))
+        assert ok and len(records) == 1546
+        assert {r.estimator for r in records} == {"UB_TWO_MISCLASS_SERIES"}
+        assert [(r.sample, r.component, r.flags) for r in records[:3]] == [
+            ("0:0:0", "p00", "violates=above 1"),
+            ("0:0:0", "p10", "violates=below 0"),
+            ("0:0:0", "p01", "violates=below 0"),
+        ]
 
     def test_sensitivity_only_divergence_found(self):
         violations = scan_properness(
