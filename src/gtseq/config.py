@@ -19,6 +19,8 @@ from .model import IndepErrorParams, OneDiseaseModel, TwoDiseaseModel, independe
 from .model import positive_nu, two_disease_radicand_forms
 
 MODES = ("estimate", "verify-unbiased", "scan-properness", "identify", "simulate", "bench")
+# The modes that draw random counts, and so read the seed.
+SEEDED_MODES = ("simulate", "bench")
 FORMATS = ("csv", "jsonl")
 FAMILIES = ("one", "two")
 
@@ -67,7 +69,7 @@ class GridPoint:
 @dataclass
 class ExperimentConfig:
     mode: str
-    seed: int
+    seed: int | None  # None only in a mode outside SEEDED_MODES
     family: str = "one"
     p_grid: tuple = DEFAULT_P_GRID
     k_grid: tuple[int, ...] = DEFAULT_K_GRID
@@ -249,9 +251,12 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
         raise ConfigError("missing required key 'mode' in [run]")
 
     raw_seed = get("run", "seed")
-    if raw_seed is None:
+    if raw_seed is not None:
+        seed = _parse_int(raw_seed[0], raw_seed[1], "seed", minimum=0)
+    elif mode in SEEDED_MODES:
         raise ConfigError("missing required key 'seed' in [run]")
-    seed = _parse_int(raw_seed[0], raw_seed[1], "seed", minimum=0)
+    else:
+        seed = None
 
     family = "one"
     raw_family = get("model", "family")

@@ -10,10 +10,13 @@ so the cancelled products below are defined everywhere (including the
 removable 0/0 at k = 1, c = 1) and evaluate exactly over rationals.
 
 The misclassified estimators need one Taylor coefficient per sample point.
-For two traits :func:`_series_coefficient` evaluates it directly in integer
-arithmetic from the polynomial prod_j (1 + p_j s)^(z_j), built one factor at
-a time; the scanner steps that polynomial from each lattice point to the
-next (:func:`_two_misclass_walk`), one factor per point.  For one trait the
+For two traits it is read in integer arithmetic from the polynomial
+prod_j (1 + p_j s)^(z_j), built one factor at a time, against prefix rows
+that do not depend on the sample (:class:`_SeriesRows`): the three
+components' values share one denominator, so the radical merge adds integer
+numerators and divides once per output float.  The scanner steps the
+polynomials from each lattice point to the next (:func:`_two_misclass_walk`),
+one factor per point, over one set of rows.  For one trait the
 coefficients obey a three-term recurrence, so :func:`_one_misclass_row`
 yields every y = 0, 1, 2, ... in one integer pass
 (:func:`unbiased_one_misclass_row`), which bench, verify and the scanner
@@ -28,6 +31,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,17 +157,64 @@ def _affine_power_step(e: list[int], p: int) -> list[int]:
     return [a + p * b for a, b in zip(e + [0], [0] + e)]
 
 
-def _nested_series_value(e: list[int], n: int, c: int, k: int, q: int) -> Fraction:
-    """sum_d (1/k)_d (c)_(n-d) E_d / (q^d (c)_n) over E = e, nested from the top degree.
+def _affine_power(p: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
+    """The s^d coefficients of prod_j (1 + p_j s)^(x_j), built one factor at a time."""
+    e = [1]
+    for pj, xj in zip(p, x):
+        for _ in range(xj):
+            e = _affine_power_step(e, pj)
+    return e
 
-    T_d = E_d + (1 - dk) T_(d+1) / (kq (c+n-1-d)), value T_0: integer steps, one
-    division at the end.
+
+class _SeriesRows:
+    """Integer rows that give series values N_i/D over one shared denominator D at any total n.
+
+    For slopes b_i = p_i/q_i with common multiple Q = lcm(q_i), the value
+    sum_d (1/k)_d (c)_(n-d) E_d / (q_i^d (c)_n) of a point whose polynomial
+    prod_j (1 + p_ij s)^(x_j) has coefficients E, n = |x|, is N_i/D with
+
+        N_i = (Q/q_i)^n sum_d E_d F[d] R_i[n - d],    D = (c)_n (kQ)^n,
+
+    F[d] = prod_(j<d) (1 - jk) (so (1/k)_d = F[d]/k^d) and R_i[m] = (c)_m
+    (k q_i)^m.  None of the rows depends on n: each is a prefix row, extended
+    one integer step per total the first time a larger n is read, so memory
+    stays O(largest n) and no division happens here.
     """
-    num, den = e[-1], 1
-    for d in reversed(range(len(e) - 1)):
-        step = k * q * (c + n - 1 - d)
-        num, den = e[d] * den * step + (1 - d * k) * num, den * step
-    return Fraction(num, den)
+
+    def __init__(self, c: int, k: int, q: tuple[int, ...]):
+        big_q = math.lcm(*q)
+        self.c, self.k, self.k_big_q = c, k, k * big_q
+        self.kq = tuple(k * v for v in q)
+        self.ratio = tuple(big_q // v for v in q)
+        self.f, self.den = [1], [1]
+        self.r = [[1] for _ in q]
+        self.scale = [[1] for _ in q]
+
+    def at(self, polys: list[list[int]], n: int) -> tuple[list[int], int]:
+        """([N_i for each component's coefficients E_i], D) at total n.
+
+        The sum over d runs by Horner's rule up to the top degree t = len(E) - 1:
+        R_i[n - d] = R_i[n - t] prod_(n-t <= m < n-d) k q_i (c + m), so each
+        degree costs one small factor and one product E_d F[d], and R_i is
+        read once.
+        """
+        c = self.c
+        for m in range(len(self.f) - 1, n):
+            rise = c + m
+            self.f.append(self.f[m] * (1 - m * self.k))
+            self.den.append(self.den[m] * (self.k_big_q * rise))
+            for r, scale, kq, ratio in zip(self.r, self.scale, self.kq, self.ratio):
+                r.append(r[m] * (kq * rise))
+                scale.append(scale[m] * ratio)
+        f = self.f
+        numerators = []
+        for e, r, scale, kq in zip(polys, self.r, self.scale, self.kq):
+            acc = 0
+            # The step to degree d is k q_i (c + n - d) = R_i[n - d + 1]/R_i[n - d].
+            for a, f_d, step in zip(e, f, range(kq * (c + n), 0, -kq)):
+                acc = acc * step + a * f_d
+            numerators.append(acc * r[n + 1 - len(e)] * scale[n])
+        return numerators, self.den[n]
 
 
 def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: int) -> Fraction:
@@ -174,17 +225,13 @@ def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: 
     (c)_(n-d) e_d / (c)_n, with (1/k)_d a falling and (c)_m a rising
     factorial, and e_d the t^d coefficient of prod_j (1 + b_j t)^(x_j).  Over
     b = p/q with common denominator q, E_d = e_d q^d are the s^d coefficients
-    of prod_j (1 + p_j s)^(x_j), built one factor at a time
-    (:func:`_affine_power_step`, O(n) integer steps each) and read by
-    :func:`_nested_series_value`.  The scanner's lattice walk takes the same
-    steps, one per sample point.
+    of prod_j (1 + p_j s)^(x_j) (:func:`_affine_power`), and the value is
+    Fraction(N, D) of :class:`_SeriesRows`, the kernel the two-trait
+    estimator and the scanner's lattice walk read as integers.
     """
     p, q = _integer_slopes(b)
-    e = [1]
-    for pj, xj in zip(p, x):
-        for _ in range(xj):
-            e = _affine_power_step(e, pj)
-    return _nested_series_value(e, sum(x), c, k, q)
+    (numerator,), denominator = _SeriesRows(c, k, (q,)).at([_affine_power(p, x)], sum(x))
+    return Fraction(numerator, denominator)
 
 
 def _one_misclass_row(c: int, k: int, sens: Fraction) -> Iterator[tuple[int, int]]:
@@ -323,19 +370,20 @@ class _TwoMisclassForms(NamedTuple):
     """The two-trait series estimator's per-model constants, components 00/10/01 in order.
 
     Component i's series value at z is a0_i^(1/k) S_i(z), S_i the
-    :func:`_series_coefficient` of its slopes b_i = p_i/q_i, and a0_i^(1/k)
-    folds to coeff base^exponent (:class:`Scale`).  `merge` lists, for p00,
-    p10 and p01, its terms in sorted (base, exponent) order: the weights of
-    (S_00, S_10, S_01) in the term's rational factor, and the radical
-    float(base)**float(exponent), None where it is rational.  float(Scale(q,
-    base, exponent)) of a folded key is float(q) times that radical, so every
-    float keeps its bits.
+    :func:`_series_coefficient` of its slopes p_i/q_i, and a0_i^(1/k) folds
+    to coeff base^exponent (:class:`Scale`).  `merge` lists, for p00, p10
+    and p01, its terms in sorted (base, exponent) order: the term's rational
+    factor as integer weights (a_00, a_10, a_01) of (S_00, S_10, S_01) over
+    the one common denominator `weight_den`, and the radical
+    float(base)**float(exponent), None where it is rational.
+    float(Scale(q, base, exponent)) of a folded key is float(q) times that
+    radical, so every float keeps its bits.
     """
 
-    slopes: tuple[tuple[Fraction, ...], ...]
     p: tuple[tuple[int, ...], ...]
     q: tuple[int, ...]
-    merge: tuple[tuple[tuple[tuple[Fraction, ...], float | None], ...], ...]
+    merge: tuple[tuple[tuple[tuple[int, ...], float | None], ...], ...]
+    weight_den: int
 
 
 @lru_cache(maxsize=64)
@@ -343,46 +391,51 @@ def _two_misclass_forms(k: int, misclass: MisclassModel | None) -> _TwoMisclassF
     """The radicands' slopes and the radical merge of p00 = S00, p10 = S10 - S00, p01 = S01 - S00."""
     forms = two_disease_radicand_forms(misclass)
     scales = [Scale(1, a0, Fraction(1, k)) for a0, _ in forms.values()]
-    slopes = tuple(tuple(a / a0 for a in linear) for a0, linear in forms.values())
-    integer = [_integer_slopes(b) for b in slopes]
+    integer = [_integer_slopes(tuple(a / a0 for a in linear)) for a0, linear in forms.values()]
+    weight_den = math.lcm(*(scale.coeff.denominator for scale in scales))
     merge = []
     for signs in ((1, 0, 0), (-1, 1, 0), (-1, 0, 1)):
-        terms: dict[tuple[Fraction, Fraction], list[Fraction]] = {}
+        terms: dict[tuple[Fraction, Fraction], list[int]] = {}
         for i, (sign, scale) in enumerate(zip(signs, scales)):
             if sign:
-                weights = terms.setdefault(scale.radical_key(), [Fraction(0)] * 3)
-                weights[i] += sign * scale.coeff
+                weights = terms.setdefault(scale.radical_key(), [0] * 3)
+                weights[i] += sign * int(scale.coeff * weight_den)
         merge.append(tuple(
             (tuple(weights), None if base == 1 else float(base) ** float(exponent))
             for (base, exponent), weights in sorted(terms.items())
         ))
     return _TwoMisclassForms(
-        slopes, tuple(p for p, _ in integer), tuple(q for _, q in integer), tuple(merge)
+        tuple(p for p, _ in integer), tuple(q for _, q in integer), tuple(merge), weight_den
     )
 
 
 def _two_misclass_values(
-    merge: tuple, coefficients: tuple[Fraction, Fraction, Fraction]
+    forms: _TwoMisclassForms, numerators: list[int], denominator: int
 ) -> tuple[Number, Number, Number, Number]:
-    """(p00, p10, p01, p11) from the three series coefficients, merged by radical.
+    """(p00, p10, p01, p11) from the series values N_i/D, merged by radical.
 
-    Exact when every surviving (nonzero) term's radical is rational, else a
-    float summed in sorted radical order, bit for bit as
+    A term's rational factor is sum_i a_i N_i / (W D): it is zero-tested on
+    that integer numerator and rounded by one int/int true division, which
+    rounds correctly, so it is float(Fraction(...)) bit for bit.  A value is
+    an exact Fraction when every surviving (nonzero) term's radical is
+    rational, else a float summed in sorted radical order, bit for bit as
     :func:`gtseq.series.unbiased_from_series`.
     """
+    scale = forms.weight_den * denominator
     values = []
-    for terms in merge:
-        nonzero = []
-        for weights, radical in terms:
-            q = sum(w * s for w, s in zip(weights, coefficients) if w)
-            if q:
-                nonzero.append((q, radical))
+    for terms in forms.merge:
+        nonzero = [
+            (numerator, radical)
+            for weights, radical in terms
+            if (numerator := sum(map(operator.mul, weights, numerators)))
+        ]
         if all(radical is None for _, radical in nonzero):
-            values.append(sum((q for q, _ in nonzero), Fraction(0)))
+            values.append(Fraction(sum(numerator for numerator, _ in nonzero), scale))
         else:
-            values.append(float(sum(
-                float(q) if radical is None else float(q) * radical for q, radical in nonzero
-            )))
+            values.append(sum(
+                numerator / scale if radical is None else numerator / scale * radical
+                for numerator, radical in nonzero
+            ))
     p00, p10, p01 = values
     return (p00, p10, p01, 1 - p00 - p10 - p01)
 
@@ -405,8 +458,8 @@ def unbiased_two_misclass(
     if min(z) < 0 or c < 1 or k < 1:
         raise ValueError("require z >= 0 componentwise, c >= 1, k >= 1")
     forms = _two_misclass_forms(k, misclass)
-    coefficients = tuple(_series_coefficient(b, z, c, k) for b in forms.slopes)
-    return _two_misclass_values(forms.merge, coefficients)
+    rows = _SeriesRows(c, k, forms.q)
+    return _two_misclass_values(forms, *rows.at([_affine_power(p, z) for p in forms.p], sum(z)))
 
 
 def _two_misclass_walk(
@@ -418,20 +471,20 @@ def _two_misclass_walk(
     z - e_j's times one factor, j the last nonzero axis.  In lexicographic
     order that predecessor is the prefix point (z_0, ..., z_j - 1, 0, ...)
     last stored for axis j, so one live polynomial per axis and component
-    suffices: O(bound) memory and O(bound) integer steps per point.
+    suffices.  One :class:`_SeriesRows` serves the whole walk: its rows grow
+    to the largest total reached, so memory stays O(bound), and each point
+    costs O(bound) integer steps per component and one division per output
+    float, over the denominator the three components share.
     """
     forms = _two_misclass_forms(k, misclass)
+    rows = _SeriesRows(c, k, forms.q)
     live = [[[1]] * 3 for _ in forms.p]
     for z in iter_counts(3, bound):
         axis = max((j for j, v in enumerate(z) if v), default=None)
         if axis is not None:
             for polys, p in zip(live, forms.p):
                 polys[axis:] = [_affine_power_step(polys[axis], p[axis])] * (3 - axis)
-        n = sum(z)
-        coefficients = tuple(
-            _nested_series_value(polys[-1], n, c, k, q) for polys, q in zip(live, forms.q)
-        )
-        yield z, _two_misclass_values(forms.merge, coefficients)
+        yield z, _two_misclass_values(forms, *rows.at([polys[-1] for polys in live], sum(z)))
 
 
 def mle_two_table(
@@ -624,13 +677,17 @@ def scan_properness(
     powers, and two-trait values are compared as :func:`evaluate` returns
     them.  Floating point is used only where an irrational radical survives
     (UB_TWO_MISCLASS_SERIES under a genuine misclassification model).
-    `max_violations` stops the scan early once that many violations are
-    recorded, which keeps scans of divergent estimators affordable.
+    `max_violations` caps the report at the first that many violations in
+    scan order and stops the scan there, which keeps scans of divergent
+    estimators affordable; a two-trait point can hold several violations,
+    so its last ones may be cut.
 
     MLE baselines are proper by construction and always yield an empty list.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if max_violations is not None and max_violations < 1:
+        raise ValueError("max_violations must be >= 1")
     violations: list[PropernessViolation] = []
     if estimator in (EstimatorId.MLE_ONE, EstimatorId.MLE_TWO):
         return violations
@@ -658,7 +715,7 @@ def scan_properness(
     for hits in found:
         violations.extend(hits)
         if max_violations is not None and len(violations) >= max_violations:
-            break
+            return violations[:max_violations]
     return violations
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from gtseq import config
+from gtseq.bench import run_mode
 from gtseq.config import DEFAULT_TWO_P_GRID, parse_config
 from gtseq.errors import ConfigError
 from gtseq.model import identifiability, independent_errors
@@ -115,6 +116,29 @@ class TestValidationErrors:
     def test_missing_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("[run]\nmode = bench\n[model]\np = 0.1\nk = 2\nc = 1\n")
+
+    @pytest.mark.parametrize("mode", ["bench", "simulate"])
+    def test_random_modes_require_seed(self, mode):
+        with pytest.raises(ConfigError, match=r"^missing required key 'seed' in \[run\]$"):
+            parse_config(MINIMAL.replace("mode = bench", f"mode = {mode}").replace("seed = 42\n", ""))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[run]\nmode = scan-properness\nbound = 5\n[model]\np = 0.05\nk = 2\nc = 1\n"
+            "misclass = 0.9:0.95\n",
+            "[run]\nmode = verify-unbiased\n[model]\np = 0.05\nk = 2\nc = 1\n",
+            "[run]\nmode = estimate\n[model]\np = 0.05\nk = 2\nc = 1\ny = 0, 3\n",
+            "[run]\nmode = identify\n[model]\nfamily = two\nmisclass = 0.98:0.95:0.97:0.9\n",
+        ],
+        ids=["scan-properness", "verify-unbiased", "estimate", "identify"],
+    )
+    def test_modes_without_randomness_need_no_seed(self, text):
+        # Only bench and simulate draw counts; the others failed on the missing seed line.
+        cfg = parse_config(text)
+        assert cfg.seed is None
+        records, ok = run_mode(cfg)
+        assert ok and records
 
     def test_missing_p(self):
         with pytest.raises(ConfigError, match="'p'"):

@@ -1,5 +1,6 @@
 """Closed forms vs the series oracle, counterexamples, scanners, MLE baselines."""
 
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtseq import estimators
-from gtseq.bench import run_mode
+from gtseq.bench import render_records, run_mode
 from gtseq.config import parse_config
 from gtseq.errors import DomainError, IdentifiabilityError
 from gtseq.estimators import (
@@ -23,6 +24,7 @@ from gtseq.estimators import (
     _one_perfect_row,
     _pool_factor_rows,
     _series_coefficient,
+    _SeriesRows,
     _simplex_violations,
     _two_misclass_walk,
     estimator_callable,
@@ -195,13 +197,16 @@ class TestUnbiasedOneMisclassRow:
             unbiased_one_misclass_row(c, k, F("0.98"), F("0.95"))
 
     def test_one_trait_modes_make_no_one_trait_coefficient_call(self, monkeypatch):
+        # Every series coefficient, one-trait or two-trait, is read through _SeriesRows.at,
+        # one polynomial per component: one-trait reads pass one, two-trait reads three.
         widths = []
+        kernel = _SeriesRows.at
 
-        def counting(b, x, c, k):
-            widths.append(len(b))
-            return _series_coefficient(b, x, c, k)
+        def counting(rows, polys, n):
+            widths.append(len(polys))
+            return kernel(rows, polys, n)
 
-        monkeypatch.setattr(estimators, "_series_coefficient", counting)
+        monkeypatch.setattr(_SeriesRows, "at", counting)
         model = OneDiseaseModel(0.05, 5, 2, 0.98, 0.95)
         assert verify_one(model).passed
         records, _ = run_mode(parse_config(ONE_TRAIT_MISCLASS_BENCH))
@@ -210,7 +215,7 @@ class TestUnbiasedOneMisclassRow:
             EstimatorId.UB_ONE_MISCLASS, 2, 5, specificity=0.9, sensitivity=0.95, bound=80
         )
         assert 1 not in widths
-        # The counter sees the two-trait kernel, which still evaluates per sample.
+        # The counter is live: it sees the two-trait estimator's read.
         unbiased_two_misclass((1, 2, 0), 1, 2, DYADIC_ERRORS)
         assert widths and 1 not in widths
 
@@ -267,6 +272,20 @@ class TestUnbiasedTwo:
 
 DYADIC_ERRORS = independent_errors(IndepErrorParams(F(3, 4), F(7, 8), F(7, 8), F(3, 4)))
 DECIMAL_ERRORS = independent_errors(IndepErrorParams(0.98, 0.95, 0.97, 0.9))
+DECIMAL_PARAMS = IndepErrorParams(F("0.98"), F("0.95"), F("0.97"), F("0.9"))
+
+
+def _series_oracle(mis, c, k, order):
+    """{z: [(type, value) of p00, p10, p01]} from the truncated-series construction, totals <= order."""
+    gs = {name: estimator_series_two(k, c, order, name, mis) for name in ("00", "10", "01")}
+    oracle = {}
+    for z in iter_counts(3, order):
+        want = []
+        for name in ("00", "10", "01"):
+            exact = unbiased_exact(gs[name], c, z)
+            want.append(exact if exact is not None else unbiased_from_series(gs[name], c, z))
+        oracle[z] = [(type(v), v) for v in want]
+    return oracle
 
 
 class TestSimplexExcess:
@@ -309,14 +328,27 @@ class TestUnbiasedTwoMisclass:
         # Decimal and dyadic misclassification: every sample with total <= 8,
         # against the truncated-series construction, value and type alike.
         mis = independent_errors(IndepErrorParams(*(F(m) for m in margins)))
-        gs = {name: estimator_series_two(k, c, 8, name, mis) for name in ("00", "10", "01")}
-        for z in iter_counts(3, 8):
-            want = []
-            for name in ("00", "10", "01"):
-                exact = unbiased_exact(gs[name], c, z)
-                want.append(exact if exact is not None else unbiased_from_series(gs[name], c, z))
+        for z, want in _series_oracle(mis, c, k, 8).items():
             got = unbiased_two_misclass(z, c, k, mis)[:3]
-            assert [(type(v), v) for v in got] == [(type(v), v) for v in want], z
+            assert [(type(v), v) for v in got] == want, z
+
+    @pytest.mark.parametrize(
+        "mis",
+        [DECIMAL_ERRORS, independent_errors(DECIMAL_PARAMS), DYADIC_ERRORS],
+        ids=["binary-float", "decimal", "dyadic"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_walk_and_estimator_match_series_oracle(self, mis, k, c):
+        # The scanner's walk and the per-sample estimator share one kernel, so each is
+        # checked against the truncated-series construction on its own, at every total
+        # <= 6.  Binary-float margins, as the shipped scan config parses them, give
+        # slopes over a 175-179 bit common denominator.
+        oracle = _series_oracle(mis, c, k, 6)
+        for z, values in _two_misclass_walk(c, k, mis, 6):
+            assert [(type(v), v) for v in values[:3]] == oracle[z], z
+            got = unbiased_two_misclass(z, c, k, mis)[:3]
+            assert [(type(v), v) for v in got] == oracle[z], z
 
     @pytest.mark.parametrize(
         "z, c, k",
@@ -440,7 +472,6 @@ class TestMleTwo:
         assert sum(result.p) == pytest.approx(1, abs=1e-15)
 
 
-DECIMAL_PARAMS = IndepErrorParams(F("0.98"), F("0.95"), F("0.97"), F("0.9"))
 # Trait 2 is read without error: component 10's radical is rational and p01's
 # radical equals p00's, so the merge mixes rational with irrational terms and
 # cancels equal ones (p01 = 0 exactly at z = 0).
@@ -560,6 +591,19 @@ class TestScanProperness:
             ("0:0:0", "p01", "violates=below 0"),
         ]
 
+    def test_shipped_two_trait_misclass_config_bytes(self):
+        # The CLI parses this config's margins as binary floats, a path the benchmark's
+        # decimal scan does not take.  The digest is sha256 of render_records(records,
+        # "csv") from this run, recorded before the shared-denominator kernel; it equals
+        # sha256sum of `gtseq scan-properness --config configs/scan_two_misclass.cfg --out F`.
+        path = Path(__file__).resolve().parent.parent / "configs" / "scan_two_misclass.cfg"
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        records, _ = run_mode(cfg)
+        text = render_records(records, cfg.format)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "fab79fcaf7936c9f71e0afcb20d82c61e812951a32fc80bab4f41562d3447c66"
+        )
+
     def test_sensitivity_only_divergence_found(self):
         violations = scan_properness(
             EstimatorId.UB_ONE_MISCLASS, 1, 2,
@@ -587,6 +631,28 @@ class TestScanProperness:
         # lexicographic report ordering
         samples = [v.sample for v in violations]
         assert samples == sorted(samples)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize(
+        "estimator, params",
+        [
+            (EstimatorId.UB_TWO_MISCLASS_SERIES, dict(misclass=independent_errors(DECIMAL_PARAMS), bound=16)),
+            (EstimatorId.UB_TWO_PERFECT, dict(bound=5)),
+        ],
+        ids=["series", "perfect"],
+    )
+    def test_max_violations_caps_two_trait_scans(self, estimator, params, cap):
+        # A two-trait point can violate several bounds at once, and the scan kept the whole
+        # point: a cap of 1 returned 3 violations (series, z = 0) and 2 (perfect).
+        full = scan_properness(estimator, 1, 2, **params)
+        capped = scan_properness(estimator, 1, 2, max_violations=cap, **params)
+        assert len(full) > 2
+        assert capped == full[:cap]
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_max_violations_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match=r"max_violations must be >= 1"):
+            scan_properness(EstimatorId.UB_TWO_PERFECT, 1, 2, bound=5, max_violations=cap)
 
     def test_mle_scans_are_empty(self):
         assert scan_properness(EstimatorId.MLE_ONE, 1, 2, bound=50) == []
