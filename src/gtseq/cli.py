@@ -60,15 +60,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if not exc.code else EXIT_VALIDATION
     try:
         try:
-            config = load_config(args.config, mode_override=args.mode)
+            config = load_config(args.config, mode_override=args.mode, seed_override=args.seed)
         except OSError as exc:
             print(f"gtseq: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
         for flag, value, minimum in (("--seed", args.seed, 0), ("--threads", args.threads, 1)):
             if value is not None and value < minimum:
                 raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
-        if args.seed is not None:
-            config.seed = args.seed
         if args.format is not None:
             config.format = args.format
         if args.out is not None:

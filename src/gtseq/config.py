@@ -218,11 +218,14 @@ _MODEL_KEYS = {"family", "p", "k", "c", "misclass", "estimators", "y", "z"}
 _KNOWN_ESTIMATORS = {"ub", "mle", *(est.value for est in EstimatorId)}
 
 
-def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfig:
+def parse_config(
+    text: str, mode_override: str | None = None, seed_override: int | None = None
+) -> ExperimentConfig:
     """Parse and fully validate a configuration; raises ConfigError with line numbers.
 
     Every grid parameter is run through the model constructors before this
-    returns, so a config that parses is a config that can run.
+    returns, so a config that parses is a config that can run.  A
+    `seed_override` replaces the config's seed line, or supplies one it lacks.
     """
     entries = _parse_entries(text)
 
@@ -251,12 +254,12 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
         raise ConfigError("missing required key 'mode' in [run]")
 
     raw_seed = get("run", "seed")
-    if raw_seed is not None:
-        seed = _parse_int(raw_seed[0], raw_seed[1], "seed", minimum=0)
-    elif mode in SEEDED_MODES:
+    # A seed line is checked even when overridden.
+    seed = None if raw_seed is None else _parse_int(raw_seed[0], raw_seed[1], "seed", minimum=0)
+    if seed_override is not None:
+        seed = seed_override
+    elif seed is None and mode in SEEDED_MODES:
         raise ConfigError("missing required key 'seed' in [run]")
-    else:
-        seed = None
 
     family = "one"
     raw_family = get("model", "family")
@@ -375,6 +378,8 @@ def parse_config(text: str, mode_override: str | None = None) -> ExperimentConfi
     return config
 
 
-def load_config(path: str, mode_override: str | None = None) -> ExperimentConfig:
+def load_config(
+    path: str, mode_override: str | None = None, seed_override: int | None = None
+) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), mode_override)
+        return parse_config(fh.read(), mode_override, seed_override)

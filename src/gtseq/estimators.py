@@ -20,7 +20,8 @@ one factor per point, over one set of rows.  For one trait the
 coefficients obey a three-term recurrence, so :func:`_one_misclass_row`
 yields every y = 0, 1, 2, ... in one integer pass
 (:func:`unbiased_one_misclass_row`), which bench, verify and the scanner
-walk once per grid point.
+walk once per grid point.  Both kernels are exact at the error-free model,
+so the scanner walks the perfect-test estimators through them too.
 The truncated-series constructor in :mod:`gtseq.series` is the paper's
 construction, not used at run time: it is the independent oracle that the
 test suite checks every estimator here against.
@@ -611,32 +612,33 @@ def evaluate_table(
 # ---------------------------------------------------------------------------
 
 
-def _one_perfect_row(c: int, k: int) -> Iterator[Fraction]:
-    """:func:`unbiased_one` at y = 0, 1, 2, ..., the same Fractions, one pool factor per step."""
-    product = Fraction(1)
-    for y in itertools.count():
-        yield 1 - product
-        product *= 1 - Fraction(1, k * (c + y))
+def _one_trait_violations(
+    c: int, k: int, specificity: Number, sensitivity: Number, bound: int
+) -> Iterator[list[PropernessViolation]]:
+    """Bound checks of p_hat = 1 - (C a/den) B^(1/k) at y = 0, ..., bound, decided in integers.
 
-
-def _one_perfect_violations(y: int, p_hat: Fraction) -> list[PropernessViolation]:
-    """Bound check of the exact perfect-test estimate p_hat at sample y."""
-    if p_hat < 0:
-        return [PropernessViolation((y,), "p", float(p_hat), ViolationKind.BELOW_ZERO)]
-    if p_hat > 1:
-        return [PropernessViolation((y,), "p", float(p_hat), ViolationKind.ABOVE_ONE)]
-    return []
-
-
-def _one_misclass_violations(y: int, k: int, radical: Scale) -> list[PropernessViolation]:
-    """Exact-sign check of the misclassified estimate p_hat = 1 + radical at sample y."""
-    # radical = coeff * base^(1/k) with base > 0 (base = 1 once folded); compare k-th powers.
-    value = 1.0 + float(radical)
-    if radical.coeff > 0:
-        return [PropernessViolation((y,), "p", value, ViolationKind.ABOVE_ONE)]
-    if (-radical.coeff) ** k * radical.base > 1:
-        return [PropernessViolation((y,), "p", value, ViolationKind.BELOW_ZERO)]
-    return []
+    C B^(1/k), C > 0, is the radical of :func:`_one_misclass_radical` and
+    (a, den) the row of :func:`_one_misclass_row`.  With e = 1 if the radical
+    folded (B = 1), else k: p_hat > 1 iff a < 0, and p_hat < 0 iff
+    (C.num a)^e B.num > (C.den den)^e B.den.  int/int true division rounds
+    correctly, so a reported value is 1 + float(radical * Fraction(-a, den)).
+    """
+    # Passed as given: _one_misclass_radical judges nu before it converts them.
+    sens, radical = _one_misclass_radical(k, specificity, sensitivity)
+    coeff, base, e = radical.coeff, radical.base, radical.exponent.denominator
+    root = float(base) ** float(radical.exponent)
+    num_scale = coeff.numerator**e * base.numerator
+    den_scale = coeff.denominator**e * base.denominator
+    for y, (a, den) in zip(range(bound + 1), _one_misclass_row(c, k, sens)):
+        if a < 0:
+            kind = ViolationKind.ABOVE_ONE
+        elif a**e * num_scale > den**e * den_scale:
+            kind = ViolationKind.BELOW_ZERO
+        else:
+            yield []
+            continue
+        value = 1.0 + (-coeff.numerator * a) / (coeff.denominator * den) * root
+        yield [PropernessViolation((y,), "p", value, kind)]
 
 
 def _simplex_violations(
@@ -668,15 +670,15 @@ def scan_properness(
 ) -> list[PropernessViolation]:
     """Enumerate sample points with total count <= bound and record violations.
 
-    Enumeration is lexicographic, so reports are reproducible.  Every family
-    walks its sample points once, lazily: the one-trait estimators carry a
-    running pool product or recurrence row, UB_TWO_MISCLASS_SERIES steps its
-    polynomials along the lattice (:func:`_two_misclass_walk`), and
-    UB_TWO_PERFECT is evaluated per point.  Bound checks are exact whenever
-    the estimate is rational: one-trait radicals are compared via k-th
-    powers, and two-trait values are compared as :func:`evaluate` returns
-    them.  Floating point is used only where an irrational radical survives
-    (UB_TWO_MISCLASS_SERIES under a genuine misclassification model).
+    Enumeration is lexicographic, so reports are reproducible.  Each trait
+    family takes one lazy walk through its misclassified kernel, which is
+    exact at the error-free model: the one-trait recurrence row
+    (:func:`_one_trait_violations`) or the two-trait lattice walk
+    (:func:`_two_misclass_walk`).  UB_ONE_PERFECT is read at specificity =
+    sensitivity = 1 and UB_TWO_PERFECT at the identity model, whatever error
+    rates they are passed.  Bound checks are exact except where an
+    irrational radical survives (UB_TWO_MISCLASS_SERIES under a genuine
+    misclassification model), whose values are compared in floats.
     `max_violations` caps the report at the first that many violations in
     scan order and stops the scan there, which keeps scans of divergent
     estimators affordable; a two-trait point can hold several violations,
@@ -695,22 +697,15 @@ def scan_properness(
     if c < 1 or k < 1:
         raise ValueError("require c >= 1, k >= 1")
 
-    if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
+    if estimator is EstimatorId.UB_TWO_PERFECT:
+        misclass = None
+    elif estimator is EstimatorId.UB_ONE_PERFECT:
+        specificity = sensitivity = 1
+    if FAMILY[estimator] == "two":
         walk = _two_misclass_walk(c, k, misclass, bound)
         found = (_simplex_violations(z, values) for z, values in walk)
-    elif FAMILY[estimator] == "two":
-        found = (
-            _simplex_violations(z, evaluate(estimator, z, c, k, misclass=misclass)[0])
-            for z in iter_counts(3, bound)
-        )
-    elif estimator is EstimatorId.UB_ONE_MISCLASS and not (specificity == 1 and sensitivity == 1):
-        # Passed as given: _one_misclass_radical judges nu before it converts them.
-        sens, radical = _one_misclass_radical(k, specificity, sensitivity)
-        row = zip(range(bound + 1), _one_misclass_row(c, k, sens))
-        found = (_one_misclass_violations(y, k, radical * Fraction(-a, den)) for y, (a, den) in row)
     else:
-        row = zip(range(bound + 1), _one_perfect_row(c, k))
-        found = (_one_perfect_violations(y, p_hat) for y, p_hat in row)
+        found = _one_trait_violations(c, k, specificity, sensitivity, bound)
 
     for hits in found:
         violations.extend(hits)

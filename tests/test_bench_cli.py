@@ -477,6 +477,20 @@ misclass = 0.98:0.95
         assert main(["bench", "--config", cfg, "--out", str(out2), "--seed", "124"]) == 0
         assert out1.read_text() != out2.read_text()
 
+    def test_seed_flag_supplies_a_missing_seed_line(self, tmp_path, capsys):
+        # The CLI parsed the config before it applied --seed, so a seed-less bench
+        # config failed with the missing-seed error even when --seed was given.
+        seedless = BENCH_CFG.replace("seed = 20240901\n", "")
+        cfg = write_cfg(tmp_path, seedless)
+        out, want = tmp_path / "flag.csv", tmp_path / "line.csv"
+        assert main(["bench", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+        line_cfg = write_cfg(tmp_path, BENCH_CFG.replace("seed = 20240901", "seed = 5"), "line.cfg")
+        assert main(["bench", "--config", line_cfg, "--out", str(want)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+        capsys.readouterr()
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "gtseq: config error: missing required key 'seed' in [run]\n"
+
     @pytest.mark.parametrize(
         "flags, message",
         [(["--seed", "-5"], "--seed must be >= 0, got -5"),

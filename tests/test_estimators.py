@@ -20,8 +20,8 @@ from gtseq.estimators import (
     TWO_COMPONENTS,
     EstimatorId,
     ViolationKind,
+    _one_misclass_radical,
     _one_misclass_row,
-    _one_perfect_row,
     _pool_factor_rows,
     _series_coefficient,
     _SeriesRows,
@@ -538,8 +538,44 @@ class TestScanProperness:
 
     @pytest.mark.parametrize("c, k", [(1, 1), (1, 2), (4, 3)])
     def test_perfect_row_is_unbiased_one(self, c, k):
-        for y, value in zip(range(150), _one_perfect_row(c, k)):
-            assert isinstance(value, F) and value == unbiased_one(y, c, k), y
+        # The scanner reads UB_ONE_PERFECT as the misclassified row at sensitivity 1.
+        for y, (a, den) in zip(range(150), _one_misclass_row(c, k, F(1))):
+            assert 1 - F(a, den) == unbiased_one(y, c, k), y
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "spec, sens",
+        [(0.9, 0.95), (1, 0.9), (0.98, 0.95), (F("0.9"), F("0.95")), (F(1), F("0.9")),
+         (F("0.98"), F("0.95"))],
+        ids=["float-0.9:0.95", "float-1:0.9", "float-0.98:0.95", "decimal-0.9:0.95",
+             "decimal-1:0.9", "decimal-0.98:0.95"],
+    )
+    def test_one_trait_scan_matches_scale_rule(self, spec, sens, k, c):
+        # The rule the integer signs replaced, written out as the oracle: the exact
+        # radical Scale times -S(y), its sign and k-th power compared as Fractions.
+        sens_, radical = _one_misclass_radical(k, spec, sens)
+        oracle = []
+        for y, (a, den) in zip(range(201), _one_misclass_row(c, k, sens_)):
+            term = radical * F(-a, den)
+            value = 1.0 + float(term)
+            if term.coeff > 0:
+                oracle.append(((y,), ViolationKind.ABOVE_ONE, value.hex()))
+            elif (-term.coeff) ** k * term.base > 1:
+                oracle.append(((y,), ViolationKind.BELOW_ZERO, value.hex()))
+        got = scan_properness(
+            EstimatorId.UB_ONE_MISCLASS, c, k, specificity=spec, sensitivity=sens, bound=200
+        )
+        assert [(v.sample, v.kind, v.value.hex()) for v in got] == oracle
+        assert oracle
+
+    @pytest.mark.parametrize("spec, sens", [(1, 1), (0.9, 0.95), (F(1), F("0.9"))])
+    @pytest.mark.parametrize("c, k", [(1, 1), (1, 2), (5, 10)])
+    def test_perfect_one_trait_scan_ignores_error_rates(self, spec, sens, c, k):
+        # UB_ONE_PERFECT lies in [0, 1] at every y, whatever error rates it is passed.
+        assert scan_properness(
+            EstimatorId.UB_ONE_PERFECT, c, k, specificity=spec, sensitivity=sens, bound=500
+        ) == []
 
     def test_misclassified_negative_at_zero(self):
         violations = scan_properness(
@@ -659,15 +695,40 @@ class TestScanProperness:
         assert scan_properness(EstimatorId.MLE_TWO, 1, 2, bound=5) == []
 
     def test_series_estimator_scan_identity_matches_closed_form(self):
-        # Whole violations, values included: the series estimate is rational
-        # here, so its simplex sum must be compared (and reported) exactly.
-        got = scan_properness(
-            EstimatorId.UB_TWO_MISCLASS_SERIES, 1, 2,
-            misclass=MisclassModel.identity(), bound=6,
+        # Whole violations, values included: the per-point closed form is the oracle, and
+        # both two-trait scans read it exactly at the identity model.
+        for c, k, bound in [(1, 2, 12), (2, 3, 10), (1, 1, 10)]:
+            oracle = []
+            for z in iter_counts(3, bound):
+                oracle.extend(_simplex_violations(z, unbiased_two(z, c, k)))
+            assert scan_properness(EstimatorId.UB_TWO_PERFECT, c, k, bound=bound) == oracle
+            assert scan_properness(
+                EstimatorId.UB_TWO_MISCLASS_SERIES, c, k,
+                misclass=MisclassModel.identity(), bound=bound,
+            ) == oracle
+            assert oracle or k == 1, (c, k)
+
+    def test_two_trait_perfect_scan_ignores_misclass(self):
+        misclass = independent_errors(DECIMAL_PARAMS)
+        got = scan_properness(EstimatorId.UB_TWO_PERFECT, 1, 2, misclass=misclass, bound=8)
+        assert got == scan_properness(EstimatorId.UB_TWO_PERFECT, 1, 2, bound=8)
+        assert got != scan_properness(
+            EstimatorId.UB_TWO_MISCLASS_SERIES, 1, 2, misclass=misclass, bound=8
         )
-        want = scan_properness(EstimatorId.UB_TWO_PERFECT, 1, 2, bound=6)
-        assert len(want) == 48
-        assert got == want
+
+    def test_shipped_two_trait_perfect_config_bytes(self):
+        # sha256 of render_records(records, "csv"), recorded before the scan read the
+        # perfect-test estimator through the lattice walk; it equals sha256sum of
+        # `gtseq scan-properness --config configs/scan_two_perfect.cfg --out F`.
+        path = Path(__file__).resolve().parent.parent / "configs" / "scan_two_perfect.cfg"
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        records, ok = run_mode(cfg)
+        assert ok and len(records) == 5268
+        assert {r.estimator for r in records} == {"UB_TWO_PERFECT"}
+        text = render_records(records, cfg.format)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "b8d55fba8d8b1188f40ae49713efc86510483a09f0b94ffcd0c2b74acd67e92b"
+        )
 
 
 class TestEvaluate:
