@@ -3,6 +3,10 @@
 Grid points are data-parallel: every point draws its replicates from an RNG
 stream spawned as (master seed, grid index), and records are emitted sorted
 by grid index, so output is byte-identical regardless of the worker count.
+numpy releases the GIL while it draws, so `bench` runs its points on one
+thread per available CPU unless `threads` is set; the other modes are
+GIL-bound Python and run serially unless it is.  A failing point stops the
+points after it from starting, and the first failure in grid order is raised.
 Monte Carlo summaries are sums over distinct samples weighted by their counts.
 """
 
@@ -12,7 +16,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -180,20 +186,28 @@ def tally(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows are keyed by one mixed-radix integer while (max + 1)**t fits in int64;
     past that the key would wrap, and the slower row-wise `np.unique` gives the
-    same order exactly.
+    same order exactly.  While the key range is at most the row count, the keys
+    are counted with `np.bincount` instead of sorted.
     """
     dims = (int(counts.max()) + 1,) * counts.shape[1]
-    if math.prod(dims) > np.iinfo(np.intp).max:
+    size = math.prod(dims)
+    if size > np.iinfo(np.intp).max:
         return np.unique(counts, axis=0, return_counts=True)
-    keys, weights = np.unique(np.ravel_multi_index(tuple(counts.T), dims), return_counts=True)
+    flat = counts[:, 0] if len(dims) == 1 else np.ravel_multi_index(tuple(counts.T), dims)
+    if size <= len(counts):
+        weights = np.bincount(flat, minlength=size)
+        keys = np.flatnonzero(weights)
+        weights = weights[keys]
+    else:
+        keys, weights = np.unique(flat, return_counts=True)
     return np.column_stack(np.unravel_index(keys, dims)), weights
 
 
 def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
-    counts = _simulate_counts(point, config)
     if config.replicates == 0:
         return []
-    samples, weights = tally(counts)
+    # The counts are dropped once tallied, before the estimator tables are built.
+    samples, weights = tally(_simulate_counts(point, config))
     model = point.model
     truths = (model.p,) if point.family == "one" else tuple(map(float, model.prevalences()))
     params = _params(point)
@@ -314,26 +328,48 @@ _POINT_RUNNERS = {
 }
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def run_mode(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
     """Dispatch a validated config; returns (records, all-checks-passed)."""
     if config.mode == "identify":
         return run_identify(config)
     runner = _POINT_RUNNERS[config.mode]
     points = config.points
-    threads = config.threads or 1
+    threads = config.threads
+    if threads is None:
+        threads = min(_available_cpus(), len(points)) if config.mode == "bench" else 1
+    failed_at = len(points)  # earliest grid position that failed: no point after it starts
+    failed_lock = threading.Lock()
 
-    def run(point: GridPoint) -> list[EstimateRecord]:
+    def run(position: int) -> list[EstimateRecord]:
+        nonlocal failed_at
+        if position > failed_at:
+            return []
+        point = points[position]
         try:
             return runner(point, config)
-        except GtseqError as exc:
+        except Exception as exc:
+            with failed_lock:
+                failed_at = min(failed_at, position)
+            if not isinstance(exc, GtseqError):
+                raise
             where = f"grid point p={point.p} k={point.k} c={point.c} misclass={point.misclass}"
             raise type(exc)(f"{where}: {exc}") from exc
 
     if threads > 1:
+        # map yields in grid order: every point before the first failure runs, that
+        # failure is raised, and the points still queued are cancelled.
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, points))
+            chunks = list(pool.map(run, range(len(points))))
     else:
-        chunks = [run(pt) for pt in points]
+        chunks = [run(position) for position in range(len(points))]
     records = [record for chunk in chunks for record in chunk]
     ok = not any("FAIL" in record.flags for record in records)
     return records, ok

@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         mode_parser.add_argument("--seed", type=int, default=None, help="override config seed")
         mode_parser.add_argument(
             "--threads", type=int, default=None,
-            help="worker threads over grid points (fallback: GTSEQ_THREADS)",
+            help="worker threads over grid points (fallback: GTSEQ_THREADS; "
+            "default: available CPUs in bench, 1 elsewhere)",
         )
     return parser
 

@@ -488,6 +488,10 @@ def _two_misclass_walk(
         yield z, _two_misclass_values(forms, *rows.at([polys[-1] for polys in live], sum(z)))
 
 
+# Values per Python float list in mle_two_table's root loop.
+ROOT_CHUNK = 4096
+
+
 def mle_two_table(
     samples: np.ndarray, c: int, k: int, misclass: MisclassModel | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -499,21 +503,29 @@ def mle_two_table(
     radicand (only under misclassification) is clipped to 0 and flags the
     row, as in :func:`mle_one`.  The row is then clamped to [0, 1] and
     renormalized by the left-to-right sum of its components.  The k-th
-    roots use Python's float pow: np.power can round differently in the
-    last bit.
+    roots use Python's float pow (np.power can round differently in the
+    last bit), over chunks of :data:`ROOT_CHUNK` values written back into
+    the radicand array, and the table is filled in one (n, 4) array.
     """
     z10, z01, z11 = np.asarray(samples, dtype=np.int64).T
     total = c + z10 + z01 + z11
     radicands = np.stack(two_disease_radicands((z10 / total, z01 / total, z11 / total), misclass))
     negative = (radicands < 0).any(axis=0)
     power = 1.0 / k
-    roots = np.array([r**power for r in np.maximum(radicands, 0, out=radicands).ravel().tolist()])
-    p00, r10, r01 = roots.reshape(radicands.shape)
-    p10, p01 = r10 - p00, r01 - p00
-    raw = np.column_stack((p00, p10, p01, 1 - p00 - p10 - p01))
-    clipped = np.clip(raw, 0.0, 1.0)
-    total_p = ((clipped[:, 0] + clipped[:, 1]) + clipped[:, 2]) + clipped[:, 3]
-    return clipped / total_p[:, None], negative | (clipped != raw).any(axis=1)
+    roots = np.maximum(radicands, 0, out=radicands).ravel()
+    for start in range(0, roots.size, ROOT_CHUNK):
+        chunk = roots[start:start + ROOT_CHUNK]
+        chunk[:] = [r**power for r in chunk.tolist()]
+    p00, r10, r01 = radicands
+    values = np.empty((len(p00), 4))
+    values[:, 0] = p00
+    np.subtract(r10, p00, out=values[:, 1])
+    np.subtract(r01, p00, out=values[:, 2])
+    values[:, 3] = 1 - p00 - values[:, 1] - values[:, 2]
+    clamped = negative | ((values < 0) | (values > 1)).any(axis=1)
+    np.clip(values, 0.0, 1.0, out=values)
+    values /= (((values[:, 0] + values[:, 1]) + values[:, 2]) + values[:, 3])[:, None]
+    return values, clamped
 
 
 class MleTwoResult(NamedTuple):
@@ -621,7 +633,8 @@ def _one_trait_violations(
     (a, den) the row of :func:`_one_misclass_row`.  With e = 1 if the radical
     folded (B = 1), else k: p_hat > 1 iff a < 0, and p_hat < 0 iff
     (C.num a)^e B.num > (C.den den)^e B.den.  int/int true division rounds
-    correctly, so a reported value is 1 + float(radical * Fraction(-a, den)).
+    correctly, so a reported value is 1 + float(radical * Fraction(-a, den));
+    a quotient past the float range is reported as math.inf with the sign of -a.
     """
     # Passed as given: _one_misclass_radical judges nu before it converts them.
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
@@ -637,7 +650,10 @@ def _one_trait_violations(
         else:
             yield []
             continue
-        value = 1.0 + (-coeff.numerator * a) / (coeff.denominator * den) * root
+        try:
+            value = 1.0 + (-coeff.numerator * a) / (coeff.denominator * den) * root
+        except OverflowError:
+            value = math.inf if a < 0 else -math.inf
         yield [PropernessViolation((y,), "p", value, kind)]
 
 

@@ -327,9 +327,8 @@ def simulate_imn_counts(
     rng = np.random.default_rng(
         seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     )
-    out = np.zeros((n_replicates, t), dtype=np.int64)
     if n_replicates == 0:
-        return out
+        return np.zeros((0, t), dtype=np.int64)
     tracked = float(sum(mu))
     mu0 = 1.0 - tracked
     totals = rng.negative_binomial(c, mu0, size=n_replicates)
@@ -338,8 +337,8 @@ def simulate_imn_counts(
         return totals[:, None]
     if tracked > 0.0:
         split = np.asarray(mu, dtype=float) / tracked
-        out = rng.multinomial(totals, split)
-    return out
+        return rng.multinomial(totals, split)
+    return np.zeros((n_replicates, t), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ import csv
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from gtseq import bench
 from gtseq.bench import CSV_HEADER, EstimateRecord, render_records, run_mode, tally
 from gtseq.cli import main
 from gtseq.config import parse_config, resolve_estimators
+from gtseq.errors import DomainError
 from gtseq.estimators import evaluate_table
 from gtseq.plans import simulate_imn_counts
 
@@ -211,6 +215,65 @@ estimators = mle
 """
 
 
+class TestDefaultThreads:
+    """With `threads` unset, bench runs on min(CPUs, points) workers and no other mode starts a pool."""
+
+    @staticmethod
+    def _record_pools(monkeypatch, cpus):
+        monkeypatch.delenv("GTSEQ_THREADS", raising=False)
+        monkeypatch.setattr(bench, "_available_cpus", lambda: cpus, raising=False)
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (8, [4]), (1, [])])
+    def test_bench_pool_is_capped_by_cpus_and_points(self, tmp_path, monkeypatch, cpus, pools):
+        sizes = self._record_pools(monkeypatch, cpus)
+        cfg = write_cfg(tmp_path, BENCH_CFG)  # 4 grid points
+        out, serial = tmp_path / "default.csv", tmp_path / "serial.csv"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        assert sizes == pools
+        assert main(["bench", "--config", cfg, "--out", str(serial), "--threads", "1"]) == 0
+        assert sizes == pools
+        assert out.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_config_line_wins(self, monkeypatch, threads):
+        sizes = self._record_pools(monkeypatch, 8)
+        text = BENCH_CFG.replace("replicates = 4000", f"replicates = 200\nthreads = {threads}")
+        run_mode(parse_config(text))
+        assert sizes == ([threads] if threads > 1 else [])
+
+    @pytest.mark.parametrize(
+        "mode, run_line, model_line",
+        [("verify-unbiased", "", ""), ("scan-properness", "bound = 5", ""),
+         ("estimate", "", "y = 0, 1, 3\n"), ("simulate", "", "")],
+    )
+    def test_other_modes_stay_serial(self, monkeypatch, mode, run_line, model_line):
+        sizes = self._record_pools(monkeypatch, 8)
+        text = BENCH_CFG.replace("mode = bench", f"mode = {mode}").replace(
+            "replicates = 4000", f"replicates = 20\n{run_line}"
+        ) + model_line
+        config = parse_config(text)
+        assert config.threads is None and len(config.points) == 4
+        run_mode(config)
+        assert sizes == []
+
+    def test_available_cpus_without_an_affinity_call(self, monkeypatch):
+        assert bench._available_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert bench._available_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert bench._available_cpus() == 1
+
+
 def _repeat_summary(values, truth):
     """The per-replicate summary: mean, bias, MSE and SE over every replicate."""
     n = len(values)
@@ -241,6 +304,30 @@ class TestTally:
         expected = sorted(Counter(map(tuple, counts.tolist())).items())
         assert [tuple(row) for row in samples.tolist()] == [row for row, _ in expected]
         assert weights.tolist() == [n for _, n in expected]
+
+
+class TestTallyPaths:
+    """The counted (np.bincount) key path equals row-wise np.unique in order, weights and dtypes."""
+
+    @pytest.mark.parametrize(
+        "t, rows, top",
+        [(1, 5000, 9), (1, 200, 500), (3, 5000, 9), (3, 40, 12),
+         (1, 63, 63), (1, 64, 63), (1, 65, 63), (3, 63, 3), (3, 64, 3), (3, 65, 3)],
+        ids=["t1-dense", "t1-sparse", "t3-dense", "t3-sparse",
+             "t1-range-above-rows", "t1-range-equals-rows", "t1-range-below-rows",
+             "t3-range-above-rows", "t3-range-equals-rows", "t3-range-below-rows"],
+    )
+    def test_matches_unique(self, monkeypatch, t, rows, top):
+        counts = np.random.default_rng(rows + top + t).integers(0, top + 1, size=(rows, t))
+        counts[0, 0] = top
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(1) or bincount(*a, **kw))
+        samples, weights = tally(counts)
+        want_samples, want_weights = np.unique(counts, axis=0, return_counts=True)
+        assert np.array_equal(samples, want_samples) and samples.dtype == np.int64
+        assert np.array_equal(weights, want_weights) and weights.dtype == want_weights.dtype
+        assert len(calls) == ((top + 1) ** t <= rows)
 
 
 class TestWeightedSummary:
@@ -523,6 +610,49 @@ misclass = 0.98:0.95
             assert "grid point p=(0.2, 0.2, 0.1) k=30 c=1 misclass=None: " in proc.stderr
             assert "at k=30, c=1 exceeds the pool-factor row limit" in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failing_point_stops_the_points_after_it(self, monkeypatch, failing):
+        # The point at grid position `failing` has totals past the pool-row limit; every
+        # other point sleeps, so a pool that kept starting points would call the
+        # simulator for the points queued behind the failure.
+        grid = ["0.05:0.05:0.025"] * 8
+        grid[failing] = "0.2:0.2:0.1"
+        text = LARGE_TOTALS_CFG.format(seed=4, replicates=200, k=30, c=1, estimators="ub")
+        config = parse_config(text.replace("p = 0.2:0.2:0.1", "p = " + ", ".join(grid)))
+        config.threads = 2
+        simulate = bench._simulate_counts
+        calls = []
+
+        def counted(point, config):
+            calls.append(point.index)
+            if point.index != failing:
+                time.sleep(0.2)
+            return simulate(point, config)
+
+        monkeypatch.setattr(bench, "_simulate_counts", counted)
+        with pytest.raises(DomainError, match=r"^grid point p=\(0\.2, 0\.2, 0\.1\) k=30 c=1 "):
+            run_mode(config)
+        assert failing in calls and len(calls) <= config.threads, calls
+
+    def test_one_trait_scan_past_the_float_range_writes_inf(self, tmp_path):
+        # From y = 523 on, the estimate passes the float range; the scan exited 1 with an
+        # OverflowError traceback.  Its kind is exact, and its value reports as inf.
+        text = "[run]\nmode = scan-properness\nbound = 2000\n" \
+               "[model]\np = 0.1\nk = 4\nc = 2\nmisclass = 1:0.25\nestimators = ub\n"
+        out = tmp_path / "out.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtseq.cli", "scan-properness", "--config",
+             write_cfg(tmp_path, text), "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        estimates = [row["estimate"] for row in rows]
+        assert len(rows) == 1999 and estimates.count("inf") == 1478
+        assert estimates[-1] == "inf" and rows[-1]["sample"] == "2000"
+        assert {row["flags"] for row in rows} == {"violates=above 1"}
 
     def test_bench_with_large_totals_fits_in_two_gib(self, tmp_path):
         # Largest sample total is about 45,000: a dense table over it would take 15 GiB.

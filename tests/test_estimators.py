@@ -32,6 +32,7 @@ from gtseq.estimators import (
     evaluate_table,
     mle_one,
     mle_two,
+    mle_two_table,
     scan_properness,
     simplex_excess_at_one_one_zero,
     unbiased_one,
@@ -569,6 +570,30 @@ class TestScanProperness:
         assert [(v.sample, v.kind, v.value.hex()) for v in got] == oracle
         assert oracle
 
+    def test_one_trait_scan_past_the_float_range(self):
+        # Past y = 522 the estimate's quotient leaves the float range: the scan raised
+        # OverflowError.  The oracle is the exact rational estimate; its reported value
+        # is 1 + the rounded quotient, or inf of its sign past the float range.
+        got = scan_properness(
+            EstimatorId.UB_ONE_MISCLASS, 2, 4, specificity=1.0, sensitivity=0.25, bound=600
+        )
+        sens, radical = _one_misclass_radical(4, 1.0, 0.25)
+        assert radical.base == 1  # the radical folded, so each estimate is a Fraction
+        oracle = []
+        for y, (a, den) in zip(range(601), _one_misclass_row(2, 4, sens)):
+            term = radical.coeff * F(-a, den)
+            exact = 1 + term
+            try:
+                value = 1.0 + float(term)
+            except OverflowError:
+                value = math.inf if term > 0 else -math.inf
+            if not 0 <= exact <= 1:
+                kind = ViolationKind.ABOVE_ONE if exact > 1 else ViolationKind.BELOW_ZERO
+                oracle.append(((y,), kind, value))
+        assert [(v.sample, v.kind, v.value) for v in got] == oracle
+        assert got[-1].value == math.inf and sum(math.isinf(v.value) for v in got) == 78
+        assert math.isfinite(got[-79].value) and got[-79].sample == (522,)
+
     @pytest.mark.parametrize("spec, sens", [(1, 1), (0.9, 0.95), (F(1), F("0.9"))])
     @pytest.mark.parametrize("c, k", [(1, 1), (1, 2), (5, 10)])
     def test_perfect_one_trait_scan_ignores_error_rates(self, spec, sens, c, k):
@@ -795,6 +820,24 @@ class TestEvaluate:
             result = mle_two(tuple(samples[i].tolist()), c, k)
             assert result.p == tuple(values[i].tolist()) and result.clamped == clamped[i]
             assert all(type(v) is float for v in result.p)
+
+    @pytest.mark.parametrize("misclass", [None, DYADIC_ERRORS], ids=["perfect", "dyadic"])
+    def test_mle_two_table_over_root_chunks_equals_row_inversion(self, misclass):
+        # 10,000 rows are 30,000 roots, several ROOT_CHUNK chunks with a short last one.
+        samples = np.random.default_rng(19).integers(0, 60, size=(10_000, 3))
+        assert samples.size % estimators.ROOT_CHUNK and samples.size > 2 * estimators.ROOT_CHUNK
+        c, k = 3, 5
+        values, clamped = mle_two_table(samples, c, k, misclass)
+        for z, row, flag in zip(samples.tolist(), values.tolist(), clamped.tolist()):
+            total = c + sum(z)
+            radicands = two_disease_radicands(tuple(v / total for v in z), misclass)
+            p00, r10, r01 = (max(r, 0.0) ** (1 / k) for r in radicands)
+            raw = [p00, r10 - p00, r01 - p00, 1 - p00 - (r10 - p00) - (r01 - p00)]
+            clipped = [min(1.0, max(0.0, v)) for v in raw]
+            s = ((clipped[0] + clipped[1]) + clipped[2]) + clipped[3]
+            assert row == [v / s for v in clipped], z
+            assert flag == (min(radicands) < 0 or clipped != raw), z
+        assert clamped.any() and not clamped.all()
 
     def test_family_and_components(self):
         assert {FAMILY[e] for e in EstimatorId} == {"one", "two"}
