@@ -2,7 +2,7 @@
 
 :func:`evaluate` is the single dispatch over :class:`EstimatorId`: every
 mode (bench, estimate, scan, verify) evaluates an estimator through it, or
-through :func:`evaluate_table`, its float batch form over many samples.
+through :func:`evaluate_table`, its float batch form with one kernel each.
 
 The closed forms are implemented in their algebraically cancelled shape:
 the leading factor of each product equals the reciprocal of its prefactor,
@@ -11,14 +11,14 @@ removable 0/0 at k = 1, c = 1) and evaluate exactly over rationals.
 
 The misclassified estimators need one Taylor coefficient per sample point.
 For two traits it is read in integer arithmetic from the polynomial
-prod_j (1 + p_j s)^(z_j), built one factor at a time, against prefix rows
-that do not depend on the sample (:class:`_SeriesRows`): the three
-components' values share one denominator, so the radical merge adds integer
-numerators and divides once per output float.  The scanner steps the
-polynomials from each lattice point to the next (:func:`_two_misclass_walk`),
-one factor per point, over one set of rows.  For one trait the
-coefficients obey a three-term recurrence, so :func:`_one_misclass_row`
-yields every y = 0, 1, 2, ... in one integer pass
+prod_j (1 + p_j s)^(z_j) against prefix rows that do not depend on the
+sample (:class:`_SeriesRows`): the three components' values share one
+denominator, so the radical merge adds integer numerators and divides once
+per output float.  Every two-trait value comes from :func:`_two_misclass_walk`,
+which steps the polynomials between lexicographically ascending points over
+one set of rows, one factor per point of the scanner's lattice.  For one
+trait the coefficients obey a three-term recurrence, so
+:func:`_one_misclass_row` yields every y = 0, 1, 2, ... in one integer pass
 (:func:`unbiased_one_misclass_row`), which bench, verify and the scanner
 walk once per grid point.  Both kernels are exact at the error-free model,
 so the scanner walks the perfect-test estimators through them too.
@@ -35,8 +35,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,11 +101,9 @@ class PropernessViolation:
 
 
 def _descending_pool_product(k: int, c: int, offset: int, count: int) -> Fraction:
-    """prod_{j=0}^{count-1} (1 - 1/(k(c + offset + j))), exact; empty product is 1."""
-    out = Fraction(1)
-    for j in range(count):
-        out *= 1 - Fraction(1, k * (c + offset + j))
-    return out
+    """prod_{j<count} (m_j - 1)/m_j, m_j = k(c + offset + j), as one exact quotient; empty is 1."""
+    first, stop = k * (c + offset), k * (c + offset + count)
+    return Fraction(math.prod(range(first - 1, stop - 1, k)), math.prod(range(first, stop, k)))
 
 
 # Entries one pool-factor row may hold: three float64 rows this long take 384 MiB.
@@ -162,8 +160,7 @@ def _affine_power(p: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
     """The s^d coefficients of prod_j (1 + p_j s)^(x_j), built one factor at a time."""
     e = [1]
     for pj, xj in zip(p, x):
-        for _ in range(xj):
-            e = _affine_power_step(e, pj)
+        e = reduce(_affine_power_step, itertools.repeat(pj, xj), e)
     return e
 
 
@@ -317,6 +314,36 @@ def unbiased_one_misclass(
     return float(const) + float(radical)
 
 
+# Values per Python float list in _float_roots.
+ROOT_CHUNK = 4096
+
+
+def _float_roots(values: np.ndarray, k: int) -> None:
+    """In-place k-th roots of a 1-D array by Python's float pow; np.power can round differently."""
+    power = 1.0 / k
+    for start in range(0, values.size, ROOT_CHUNK):
+        chunk = values[start:start + ROOT_CHUNK]
+        chunk[:] = [r**power for r in chunk.tolist()]
+
+
+def mle_one_table(
+    samples: np.ndarray, c: int, k: int, specificity: Number = 1, sensitivity: Number = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in MLE baseline over an (n, 1) sample array: invert the map at v_hat = y/(c+y).
+
+    Returns (n, 1) float estimates and clamp flags.  A radicand (sens - v_hat)/nu
+    <= 0 gives 1; an estimate outside [0, 1] is clamped to it; both flag the row.
+    """
+    nu = float(positive_nu(specificity, sensitivity))
+    y = np.asarray(samples, dtype=np.int64)[:, 0]
+    radicands = (float(sensitivity) - y / (c + y)) / nu
+    nonpositive = radicands <= 0
+    _float_roots(np.maximum(radicands, 0, out=radicands), k)
+    values = 1 - radicands
+    clamped = nonpositive | (values < 0) | (values > 1)
+    return np.clip(values, 0.0, 1.0, out=values)[:, None], clamped
+
+
 class MleOneResult(NamedTuple):
     p_hat: float
     clamped: bool
@@ -325,22 +352,9 @@ class MleOneResult(NamedTuple):
 def mle_one(
     y: int, c: int, k: int, specificity: Number = 1, sensitivity: Number = 1
 ) -> MleOneResult:
-    """Plug-in MLE baseline: invert the observation map at v_hat = y/(c+y).
-
-    Proper by construction; clamping to [0, 1] is reported, not silent.
-    """
-    nu = float(positive_nu(specificity, sensitivity))
-    sens = float(sensitivity)
-    v_hat = y / (c + y)
-    radicand = (sens - v_hat) / nu
-    if radicand <= 0:
-        return MleOneResult(1.0, True)
-    p_raw = 1 - radicand ** (1.0 / k)
-    if p_raw < 0:
-        return MleOneResult(0.0, True)
-    if p_raw > 1:
-        return MleOneResult(1.0, True)
-    return MleOneResult(p_raw, False)
+    """Plug-in MLE baseline at one sample: a one-row :func:`mle_one_table`."""
+    values, clamped = mle_one_table(np.array([[y]]), c, k, specificity, sensitivity)
+    return MleOneResult(values.item(), bool(clamped[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -455,41 +469,40 @@ def unbiased_two_misclass(
     :func:`unbiased_two`.  Values are exact Fractions when no irrational
     radical survives (e.g. the identity case), floats otherwise.
     """
-    z = tuple(int(v) for v in z)
-    if min(z) < 0 or c < 1 or k < 1:
-        raise ValueError("require z >= 0 componentwise, c >= 1, k >= 1")
-    forms = _two_misclass_forms(k, misclass)
-    rows = _SeriesRows(c, k, forms.q)
-    return _two_misclass_values(forms, *rows.at([_affine_power(p, z) for p in forms.p], sum(z)))
+    return next(_two_misclass_walk(c, k, misclass, [tuple(int(v) for v in z)]))[1]
 
 
 def _two_misclass_walk(
-    c: int, k: int, misclass: MisclassModel | None, bound: int
-) -> Iterator[tuple[tuple[int, int, int], tuple[Number, Number, Number, Number]]]:
-    """(z, :func:`unbiased_two_misclass` at z) over ``iter_counts(3, bound)``, lazily.
+    c: int, k: int, misclass: MisclassModel | None, points: Iterable[Sequence[int]]
+) -> Iterator[tuple[Sequence[int], tuple[Number, Number, Number, Number]]]:
+    """(z, :func:`unbiased_two_misclass` at z) for each z of `points`, lazily, in their order.
 
-    Each point's polynomials prod_j (1 + p_j s)^(z_j) are its predecessor
-    z - e_j's times one factor, j the last nonzero axis.  In lexicographic
-    order that predecessor is the prefix point (z_0, ..., z_j - 1, 0, ...)
-    last stored for axis j, so one live polynomial per axis and component
-    suffices.  One :class:`_SeriesRows` serves the whole walk: its rows grow
-    to the largest total reached, so memory stays O(bound), and each point
-    costs O(bound) integer steps per component and one division per output
-    float, over the denominator the three components share.
+    live[a] is prod_(j<=a) (1 + p_j s)^(z_j), one per axis and component.
+    With a the first axis where z differs from its predecessor (the origin
+    before the first point), live[a] gains z_a - prev_a factors and each
+    later axis is rebuilt from the one before: one factor per point in
+    ``iter_counts`` order, none at a repeat.  A negative count, from a
+    negative or descending point, raises.  One :class:`_SeriesRows` serves
+    the whole walk, so memory stays O(largest total), and each point costs
+    O(total) integer steps per component and one division per output float.
     """
+    if c < 1 or k < 1:
+        raise ValueError("require z >= 0 componentwise, c >= 1, k >= 1")
     forms = _two_misclass_forms(k, misclass)
     rows = _SeriesRows(c, k, forms.q)
     live = [[[1]] * 3 for _ in forms.p]
-    for z in iter_counts(3, bound):
-        axis = max((j for j, v in enumerate(z) if v), default=None)
-        if axis is not None:
-            for polys, p in zip(live, forms.p):
-                polys[axis:] = [_affine_power_step(polys[axis], p[axis])] * (3 - axis)
+    for prev, z in itertools.pairwise(itertools.chain([(0, 0, 0)], points)):
+        axis = next((j for j in range(3) if z[j] != prev[j]), 2)
+        counts = (z[axis] - prev[axis], *z[axis + 1:])
+        if min(counts) < 0:
+            raise ValueError(f"require z >= 0 componentwise, c >= 1, k >= 1, ascending: {z}")
+        for polys, p in zip(live, forms.p):
+            e = polys[axis]
+            for j, count in enumerate(counts, axis):
+                for _ in range(count):
+                    e = _affine_power_step(e, p[j])
+                polys[j] = e
         yield z, _two_misclass_values(forms, *rows.at([polys[-1] for polys in live], sum(z)))
-
-
-# Values per Python float list in mle_two_table's root loop.
-ROOT_CHUNK = 4096
 
 
 def mle_two_table(
@@ -501,21 +514,14 @@ def mle_two_table(
     flags.  Each row inverts v_hat = z/(c + sum(z)) as
     :func:`gtseq.model.invert_cell_probs` does, except that a negative
     radicand (only under misclassification) is clipped to 0 and flags the
-    row, as in :func:`mle_one`.  The row is then clamped to [0, 1] and
-    renormalized by the left-to-right sum of its components.  The k-th
-    roots use Python's float pow (np.power can round differently in the
-    last bit), over chunks of :data:`ROOT_CHUNK` values written back into
-    the radicand array, and the table is filled in one (n, 4) array.
+    row, as in :func:`mle_one_table`.  The row is then clamped to [0, 1] and
+    renormalized by the left-to-right sum of its components, in one (n, 4) array.
     """
     z10, z01, z11 = np.asarray(samples, dtype=np.int64).T
     total = c + z10 + z01 + z11
     radicands = np.stack(two_disease_radicands((z10 / total, z01 / total, z11 / total), misclass))
     negative = (radicands < 0).any(axis=0)
-    power = 1.0 / k
-    roots = np.maximum(radicands, 0, out=radicands).ravel()
-    for start in range(0, roots.size, ROOT_CHUNK):
-        chunk = roots[start:start + ROOT_CHUNK]
-        chunk[:] = [r**power for r in chunk.tolist()]
+    _float_roots(np.maximum(radicands, 0, out=radicands).ravel(), k)
     p00, r10, r01 = radicands
     values = np.empty((len(p00), 4))
     values[:, 0] = p00
@@ -581,15 +587,16 @@ def evaluate(
 
 
 def evaluate_table(
-    estimator: EstimatorId, samples: np.ndarray, c: int, k: int, **params
+    estimator: EstimatorId, samples: np.ndarray, c: int, k: int, *, specificity: Number = 1,
+    sensitivity: Number = 1, misclass: MisclassModel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float values (one row per sample, one column per component) and clamp flags.
 
     `samples` is an integer array with one sample point per row.  The two
     perfect-test closed forms read one pool-factor row (O(max total) memory),
     UB_ONE_MISCLASS one :func:`unbiased_one_misclass_row` up to the largest y,
-    and MLE_TWO is :func:`mle_two_table`; only UB_TWO_MISCLASS_SERIES and
-    MLE_ONE still go through :func:`evaluate`, once per row.
+    UB_TWO_MISCLASS_SERIES one :func:`_two_misclass_walk` over the sorted rows,
+    and the MLEs are :func:`mle_one_table` and :func:`mle_two_table`.
     """
     samples = np.asarray(samples, dtype=np.int64)
     n = len(samples)
@@ -607,16 +614,19 @@ def evaluate_table(
         return np.column_stack((v00, v10, v01, 1.0 - v00 - v10 - v01)), np.zeros(n, dtype=bool)
     if estimator is EstimatorId.UB_ONE_MISCLASS:
         y = samples[:, 0]
-        row = unbiased_one_misclass_row(
-            c, k, params.get("specificity", 1), params.get("sensitivity", 1)
-        )
+        row = unbiased_one_misclass_row(c, k, specificity, sensitivity)
         values = np.array([float(v) for v in itertools.islice(row, int(y.max(initial=0)) + 1)])
         return values[y][:, None], np.zeros(n, dtype=bool)
+    if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
+        order = np.lexsort(samples.T[::-1])
+        walk = _two_misclass_walk(c, k, misclass, samples[order].tolist())
+        values = np.reshape([[float(v) for v in vals] for _, vals in walk], (n, 4))
+        return values[np.argsort(order)], np.zeros(n, dtype=bool)
+    if estimator is EstimatorId.MLE_ONE:
+        return mle_one_table(samples, c, k, specificity, sensitivity)
     if estimator is EstimatorId.MLE_TWO:
-        return mle_two_table(samples, c, k, params.get("misclass"))
-    results = [evaluate(estimator, tuple(x), c, k, **params) for x in samples.tolist()]
-    values = np.array([[float(v) for v in vals] for vals, _ in results]).reshape(n, -1)
-    return values, np.array([clamped for _, clamped in results], dtype=bool)
+        return mle_two_table(samples, c, k, misclass)
+    raise ValueError(f"unknown estimator {estimator}")
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +728,7 @@ def scan_properness(
     elif estimator is EstimatorId.UB_ONE_PERFECT:
         specificity = sensitivity = 1
     if FAMILY[estimator] == "two":
-        walk = _two_misclass_walk(c, k, misclass, bound)
+        walk = _two_misclass_walk(c, k, misclass, iter_counts(3, bound))
         found = (_simplex_violations(z, values) for z, values in walk)
     else:
         found = _one_trait_violations(c, k, specificity, sensitivity, bound)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from fractions import Fraction as F
@@ -20,17 +21,22 @@ from gtseq.estimators import (
     TWO_COMPONENTS,
     EstimatorId,
     ViolationKind,
+    _affine_power,
+    _descending_pool_product,
     _one_misclass_radical,
     _one_misclass_row,
     _pool_factor_rows,
     _series_coefficient,
     _SeriesRows,
     _simplex_violations,
+    _two_misclass_forms,
+    _two_misclass_values,
     _two_misclass_walk,
     estimator_callable,
     evaluate,
     evaluate_table,
     mle_one,
+    mle_one_table,
     mle_two,
     mle_two_table,
     scan_properness,
@@ -50,6 +56,7 @@ from gtseq.model import (
     independent_errors,
     invert_cell_probs,
     observed_cell_probs,
+    positive_nu,
     two_disease_radicands,
 )
 from gtseq.plans import iter_counts, truncated_expectation
@@ -92,6 +99,17 @@ class TestUnbiasedOne:
         for c in (1, 2, 5):
             for y in range(50):
                 assert 0 <= unbiased_one(y, c, 1) <= 1
+
+    @pytest.mark.parametrize("k, c", [(1, 1), (1, 7), (3, 1), (10, 20), (4, 9)])
+    def test_pool_product_equals_per_factor_loop(self, k, c):
+        # The exact product normalised once equals the Fraction normalised at every factor.
+        for offset in (0, 1, 5, 90):
+            for count in (0, 1, 2, 17, 90):
+                want = F(1)
+                for j in range(count):
+                    want *= 1 - F(1, k * (c + offset + j))
+                got = _descending_pool_product(k, c, offset, count)
+                assert type(got) is F and got == want, (offset, count)
 
     @pytest.mark.parametrize("c,k", [(1, 2), (2, 2), (3, 4), (5, 10), (2, 1)])
     def test_matches_series_oracle_exactly(self, c, k):
@@ -346,7 +364,7 @@ class TestUnbiasedTwoMisclass:
         # <= 6.  Binary-float margins, as the shipped scan config parses them, give
         # slopes over a 175-179 bit common denominator.
         oracle = _series_oracle(mis, c, k, 6)
-        for z, values in _two_misclass_walk(c, k, mis, 6):
+        for z, values in _two_misclass_walk(c, k, mis, iter_counts(3, 6)):
             assert [(type(v), v) for v in values[:3]] == oracle[z], z
             got = unbiased_two_misclass(z, c, k, mis)[:3]
             assert [(type(v), v) for v in got] == oracle[z], z
@@ -427,6 +445,37 @@ class TestMleOne:
             p_hat, _ = mle_one(y, 2, 5, 0.9, 0.8)
             assert 0 <= p_hat <= 1
 
+    @pytest.mark.parametrize(
+        "spec, sens, c, k",
+        [(1, 1, 1, 2), (0.9, 0.6, 1, 3), (0.9, 0.8, 2, 5), (F("0.98"), F("0.95"), 5, 1)],
+    )
+    def test_table_equals_scalar_inversion_bitwise(self, spec, sens, c, k):
+        # The scalar inversion the table replaced, written out.  At 0.9:0.6 the radicand
+        # exceeds 1 at y = 0 (estimate below 0) and is <= 0 once y/(c + y) >= 0.6.
+        def scalar(y):
+            nu, sens_ = float(positive_nu(spec, sens)), float(sens)
+            radicand = (sens_ - y / (c + y)) / nu
+            if radicand <= 0:
+                return 1.0, True
+            p_raw = 1 - radicand ** (1.0 / k)
+            if p_raw < 0:
+                return 0.0, True
+            if p_raw > 1:
+                return 1.0, True
+            return p_raw, False
+
+        y = np.arange(2001)
+        values, clamped = mle_one_table(y[:, None], c, k, spec, sens)
+        assert values.shape == (2001, 1)
+        want = [scalar(v) for v in y.tolist()]
+        assert [(v.hex(), f) for v, f in zip(values[:, 0].tolist(), clamped.tolist())] == [
+            (v.hex(), f) for v, f in want
+        ]
+        result = mle_one(7, c, k, spec, sens)
+        assert result == want[7] and type(result.p_hat) is float
+        if (spec, sens) == (0.9, 0.6):
+            assert want[0] == (0.0, True) and want[2000] == (1.0, True)
+
 
 class TestMleTwo:
     def test_zero_counts(self):
@@ -483,8 +532,15 @@ def _bitwise(values):
     return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
 
 
+def _per_sample_two_misclass(z, c, k, misclass):
+    """The per-sample construction the walk replaced: fresh rows, every polynomial built from 1."""
+    forms = _two_misclass_forms(k, misclass)
+    rows = _SeriesRows(c, k, forms.q)
+    return _two_misclass_values(forms, *rows.at([_affine_power(p, z) for p in forms.p], sum(z)))
+
+
 class TestTwoMisclassWalk:
-    """The scanner's lattice walk against the per-sample estimator at every point."""
+    """The two-trait walk against the per-sample construction it replaced, point by point."""
 
     @pytest.mark.parametrize(
         "misclass, c, k, bound",
@@ -500,12 +556,12 @@ class TestTwoMisclassWalk:
     )
     def test_walk_equals_per_sample_estimator(self, misclass, c, k, bound):
         # Every independent-errors model has zero slopes: component 10's on z10, 01's on z01.
-        walked = list(_two_misclass_walk(c, k, misclass, bound))
+        walked = list(_two_misclass_walk(c, k, misclass, iter_counts(3, bound)))
         assert [z for z, _ in walked] == list(iter_counts(3, bound))
         # The per-point scan the walk replaced, written out as the oracle.
         oracle = []
         for z, values in walked:
-            want, _ = evaluate(EstimatorId.UB_TWO_MISCLASS_SERIES, z, c, k, misclass=misclass)
+            want = _per_sample_two_misclass(z, c, k, misclass)
             assert _bitwise(values) == _bitwise(want), z
             oracle.extend(_simplex_violations(z, want))
         got = scan_properness(
@@ -514,6 +570,47 @@ class TestTwoMisclassWalk:
         assert [(v.sample, v.component, v.value.hex(), v.kind) for v in got] == [
             (v.sample, v.component, v.value.hex(), v.kind) for v in oracle
         ]
+
+    @pytest.mark.parametrize(
+        "misclass",
+        [
+            DECIMAL_ERRORS, independent_errors(DECIMAL_PARAMS), DYADIC_ERRORS,
+            MisclassModel.identity(),
+        ],
+        ids=["binary-float", "decimal", "dyadic", "identity"],
+    )
+    @pytest.mark.parametrize("c, k", [(1, 2), (5, 5), (2, 1)])
+    def test_table_equals_per_sample_construction(self, misclass, c, k):
+        # Random rows with repeats, in sorted and in shuffled order: the table walks
+        # them sorted and scatters the values back to the caller's rows.
+        rng = np.random.default_rng(21)
+        samples = np.vstack((rng.integers(0, 9, size=(60, 3)), [[0, 0, 0], [3, 0, 2], [3, 0, 2]]))
+        want = {
+            z: [float(v) for v in _per_sample_two_misclass(z, c, k, misclass)]
+            for z in map(tuple, samples.tolist())
+        }
+        for rows in (np.unique(samples, axis=0), samples, samples[rng.permutation(len(samples))]):
+            values, clamped = evaluate_table(
+                EstimatorId.UB_TWO_MISCLASS_SERIES, rows, c, k, misclass=misclass
+            )
+            assert values.shape == (len(rows), 4) and not clamped.any()
+            for z, row in zip(map(tuple, rows.tolist()), values.tolist()):
+                assert repr(row) == repr(want[z]), z
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0, 1), (0, 0, 0)], [(1, 0, 0), (0, 5, 5)], [(2, 3, 1), (2, 2, 9)],
+            [(0, 0, 0), (1, -1, 0)],
+        ],
+        ids=["last-axis", "first-axis", "middle-axis", "negative"],
+    )
+    def test_descending_or_negative_points_raise(self, points):
+        # A negative factor count would step no factors and yield a wrong value silently.
+        walk = _two_misclass_walk(1, 2, DYADIC_ERRORS, points)
+        next(walk)
+        with pytest.raises(ValueError, match=re.escape(f"k >= 1, ascending: {points[1]}")):
+            next(walk)
 
     def test_walk_is_lazy(self):
         # A full lattice at bound 10,000 holds 1.7e11 points; the scan stops at z = 0.
@@ -757,6 +854,30 @@ class TestScanProperness:
 
 
 class TestEvaluate:
+    def test_shipped_two_trait_misclass_bench_config_bytes(self):
+        # sha256 of render_records(records, "csv"), recorded before the series table walked
+        # its rows in sorted order; it equals sha256sum of
+        # `gtseq bench --config configs/bench_two_misclass.cfg --out F`.
+        path = Path(__file__).resolve().parent.parent / "configs" / "bench_two_misclass.cfg"
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        records, ok = run_mode(cfg)
+        assert ok and len(records) == 32
+        assert "UB_TWO_MISCLASS_SERIES" in {r.estimator for r in records}
+        text = render_records(records, cfg.format)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "4966ca848d012470cda1425e38d22b83f23b330607dd50ad98df5702ba938438"
+        )
+
+    @pytest.mark.parametrize("estimator", list(EstimatorId))
+    def test_zero_rows(self, estimator):
+        # MLE_ONE and UB_TWO_MISCLASS_SERIES raised "cannot reshape array of size 0".
+        width = 1 if FAMILY[estimator] == "one" else 4
+        samples = np.empty((0, 1 if width == 1 else 3), dtype=np.int64)
+        values, clamped = evaluate_table(
+            estimator, samples, 2, 3, specificity=0.9, sensitivity=0.95, misclass=DYADIC_ERRORS
+        )
+        assert values.shape == (0, width) and clamped.shape == (0,)
+
     @pytest.mark.parametrize("k, c", [(1, 1), (1, 4), (2, 1), (5, 3)])
     def test_one_trait_table_matches_exact(self, k, c):
         samples = np.arange(201)[:, None]
