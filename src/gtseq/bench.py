@@ -187,20 +187,32 @@ def tally(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows are keyed by one mixed-radix integer while (max + 1)**t fits in int64;
     past that the key would wrap, and the slower row-wise `np.unique` gives the
     same order exactly.  While the key range is at most the row count, the keys
-    are counted with `np.bincount` instead of sorted.
+    are counted with `np.bincount`, else sorted in place with their runs marked
+    in one mask: beside `counts` a tally holds one key per row and O(m) more.
     """
-    dims = (int(counts.max()) + 1,) * counts.shape[1]
-    size = math.prod(dims)
+    n, t = counts.shape
+    base = int(counts.max()) + 1
+    size = base**t
     if size > np.iinfo(np.intp).max:
         return np.unique(counts, axis=0, return_counts=True)
-    flat = counts[:, 0] if len(dims) == 1 else np.ravel_multi_index(tuple(counts.T), dims)
-    if size <= len(counts):
-        weights = np.bincount(flat, minlength=size)
+    keys = counts[:, 0] if t == 1 else np.ravel_multi_index(tuple(counts.T), (base,) * t)
+    if size <= n:
+        weights = np.bincount(keys, minlength=size)
         keys = np.flatnonzero(weights)
         weights = weights[keys]
     else:
-        keys, weights = np.unique(flat, return_counts=True)
-    return np.column_stack(np.unravel_index(keys, dims)), weights
+        keys = keys.copy() if t == 1 else keys  # one trait's keys are a view of `counts`
+        keys.sort()
+        # run_start[i]: a run of equal keys starts at row i; row n closes the last run.
+        run_start = np.empty(n + 1, dtype=bool)
+        run_start[0] = run_start[n] = True
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:n])
+        weights = np.diff(np.flatnonzero(run_start))
+        keys = keys[run_start[:n]]
+    samples = np.empty((len(keys), t), dtype=np.int64)
+    for j in reversed(range(t)):
+        np.divmod(keys, base, out=(keys, samples[:, j]))
+    return samples, weights
 
 
 def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
@@ -214,12 +226,11 @@ def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRec
     records = []
     for est in resolve_estimators(point, config.estimators):
         table, clamp_table = evaluate_table(est, samples, point.c, point.k, **params)
-        out_of_range = ((table < 0) | (table > 1)).sum(axis=1)
+        columns = table.T  # views: _summary weights a column first, so any layout sums the same
         flags = _flags(
             clamped=int(np.add.reduce(weights[clamp_table])),
-            improper=int(np.add.reduce(weights * out_of_range)),
+            improper=sum(int(np.add.reduce(weights[(col < 0) | (col > 1)])) for col in columns),
         )
-        columns = np.ascontiguousarray(table.T)
         for name, truth, column in zip(_components(point), truths, columns):
             mean, bias, mse, se = _summary(column, weights, truth)
             records.append(
@@ -229,6 +240,7 @@ def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRec
                     flags=flags,
                 )
             )
+        del table, clamp_table, columns, column  # freed before the next estimator's table is built
     return records
 
 

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model import MisclassModel, positive_nu, two_disease_radicand_forms, two_disease_radicands
+from .model import MisclassModel, positive_nu, two_disease_radicand_forms
 # Not called since mle_two_table inverts every sample at once; perfbench/spans.py traces this name.
 from .model import invert_cell_probs  # noqa: F401
 from .numerics import Number, Scale, as_fraction
@@ -515,19 +515,25 @@ def mle_two_table(
     :func:`gtseq.model.invert_cell_probs` does, except that a negative
     radicand (only under misclassification) is clipped to 0 and flags the
     row, as in :func:`mle_one_table`.  The row is then clamped to [0, 1] and
-    renormalized by the left-to-right sum of its components, in one (n, 4) array.
+    renormalized by the left-to-right sum of its components.  It writes into
+    one preallocated column-major (n, 4) table with `out=` arithmetic, each
+    radicand its intercept plus a_j (z_j/total) in j order, as
+    :func:`gtseq.model.two_disease_radicands` sums it.
     """
-    z10, z01, z11 = np.asarray(samples, dtype=np.int64).T
-    total = c + z10 + z01 + z11
-    radicands = np.stack(two_disease_radicands((z10 / total, z01 / total, z11 / total), misclass))
-    negative = (radicands < 0).any(axis=0)
-    _float_roots(np.maximum(radicands, 0, out=radicands).ravel(), k)
-    p00, r10, r01 = radicands
-    values = np.empty((len(p00), 4))
-    values[:, 0] = p00
-    np.subtract(r10, p00, out=values[:, 1])
-    np.subtract(r01, p00, out=values[:, 2])
-    values[:, 3] = 1 - p00 - values[:, 1] - values[:, 2]
+    samples = np.asarray(samples, dtype=np.int64)
+    total = c + samples.sum(axis=1)
+    values, scratch = np.empty((len(samples), 4), order="F"), np.empty(len(samples))
+    forms = (misclass or MisclassModel.identity()).float_radicand_forms.values()
+    values[:, :3] = [intercept for intercept, _ in forms]
+    for j, z in enumerate(samples.T):
+        cell = np.divide(z, total, out=values[:, 3])
+        for radicand, (_, linear) in zip(values.T, forms):  # columns p00, p10, p01
+            radicand += np.multiply(linear[j], cell, out=scratch)
+    negative = (values[:, :3] < 0).any(axis=1)
+    # values[:, :3] is F-contiguous, so ravel("F") is a view and the roots land in place.
+    _float_roots(np.maximum(values[:, :3], 0, out=values[:, :3]).ravel("F"), k)
+    values[:, 1:3] -= values[:, :1]
+    values[:, 3] = 1.0 - values[:, 0] - values[:, 1] - values[:, 2]
     clamped = negative | ((values < 0) | (values > 1)).any(axis=1)
     np.clip(values, 0.0, 1.0, out=values)
     values /= (((values[:, 0] + values[:, 1]) + values[:, 2]) + values[:, 3])[:, None]
@@ -592,26 +598,38 @@ def evaluate_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float values (one row per sample, one column per component) and clamp flags.
 
-    `samples` is an integer array with one sample point per row.  The two
-    perfect-test closed forms read one pool-factor row (O(max total) memory),
-    UB_ONE_MISCLASS one :func:`unbiased_one_misclass_row` up to the largest y,
-    UB_TWO_MISCLASS_SERIES one :func:`_two_misclass_walk` over the sorted rows,
-    and the MLEs are :func:`mle_one_table` and :func:`mle_two_table`.
+    `samples` is an integer array with one sample point per row; negative counts,
+    c < 1, k < 1 or a column count other than the family's (1 or 3) raise
+    ValueError before any kernel runs.  The two perfect-test closed forms read
+    one pool-factor row (O(max total) memory), UB_TWO_PERFECT into one column-major
+    (n, 4) table, UB_ONE_MISCLASS one :func:`unbiased_one_misclass_row` up to the
+    largest y, UB_TWO_MISCLASS_SERIES one :func:`_two_misclass_walk` over the sorted
+    rows, and the MLEs are :func:`mle_one_table` and :func:`mle_two_table`.
     """
     samples = np.asarray(samples, dtype=np.int64)
+    width = 1 if FAMILY.get(estimator) == "one" else 3
+    if samples.ndim != 2 or samples.shape[1] != width or samples.min(initial=0) < 0 or c < 1 or k < 1:
+        raise ValueError(f"require (n, {width}) samples >= 0, c >= 1, k >= 1")
     n = len(samples)
     if estimator is EstimatorId.UB_ONE_PERFECT:
         y = samples[:, 0]
         head, _ = _pool_factor_rows(k, c, int(y.max(initial=0)))
         return (1.0 - head[y])[:, None], np.zeros(n, dtype=bool)
     if estimator is EstimatorId.UB_TWO_PERFECT:
-        z10, z01, z11 = samples.T
-        totals = z10 + z01 + z11
+        totals = samples.sum(axis=1)
         head, tail = _pool_factor_rows(k, c, int(totals.max(initial=0)))
-        v00 = head[totals]
-        v10 = np.where(z10 > 0, tail[totals] / tail[z10], v00) - v00
-        v01 = np.where(z01 > 0, tail[totals] / tail[z01], v00) - v00
-        return np.column_stack((v00, v10, v01, 1.0 - v00 - v10 - v01)), np.zeros(n, dtype=bool)
+        values = np.empty((n, 4), order="F")
+        v00, v10, v01, v11 = values.T
+        # No index passes its row's total; mode="clip" writes in place where "raise" buffers.
+        np.take(head, totals, out=v00, mode="clip")
+        for v, z in zip((v10, v01), samples.T):
+            # v = (tail[total]/tail[z] where z > 0, else v00) - v00; v11 holds tail[z] meanwhile.
+            np.take(tail, totals, out=v, mode="clip")
+            np.divide(v, np.take(tail, z, out=v11, mode="clip"), out=v)
+            np.copyto(v, v00, where=z == 0)
+            v -= v00
+        v11[:] = 1.0 - v00 - v10 - v01
+        return values, np.zeros(n, dtype=bool)
     if estimator is EstimatorId.UB_ONE_MISCLASS:
         y = samples[:, 0]
         row = unbiased_one_misclass_row(c, k, specificity, sensitivity)

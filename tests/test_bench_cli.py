@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -304,6 +305,23 @@ class TestTally:
         expected = sorted(Counter(map(tuple, counts.tolist())).items())
         assert [tuple(row) for row in samples.tolist()] == [row for row, _ in expected]
         assert weights.tolist() == [n for _, n in expected]
+
+
+class TestPointMemory:
+    def test_heaviest_two_trait_point_allocates_under_10_mib(self):
+        # The shipped bench-two's heaviest point: 73,627 distinct samples of 100,000.  Its
+        # tracemalloc peak was 12.6 MiB while tally and the tables made replicate-length
+        # temporaries and the previous estimator's table stayed alive; 6.3 MiB since.
+        path = Path(__file__).resolve().parent.parent / "configs" / "bench_two_default.cfg"
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        point = next(p for p in cfg.points if (p.p, p.k, p.c) == ((0.1, 0.1, 0.05), 10, 20))
+        tracemalloc.start()
+        try:
+            records = bench._bench_point(point, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 8 and peak < 10 * 2**20, peak
 
 
 class TestTallyPaths:

@@ -868,6 +868,38 @@ class TestEvaluate:
             "4966ca848d012470cda1425e38d22b83f23b330607dd50ad98df5702ba938438"
         )
 
+    def test_shipped_two_trait_bench_config_bytes(self):
+        # sha256 of render_records(records, "csv"), recorded before tally and the two
+        # perfect-test-grid tables (UB_TWO_PERFECT, MLE_TWO) wrote into preallocated
+        # arrays; it equals sha256sum of `gtseq bench --config configs/bench_two_default.cfg
+        # --out F`.  The benchmark compares these floats only to a relative 1e-9.
+        path = Path(__file__).resolve().parent.parent / "configs" / "bench_two_default.cfg"
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        records, ok = run_mode(cfg)
+        assert ok and len(records) == 27 * 2 * 4
+        text = render_records(records, cfg.format)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "083454baddde3a8ccbfef2eaeddba7fe9744e3785f960126b1bee769ac39594c"
+        )
+
+    @pytest.mark.parametrize("estimator", list(EstimatorId))
+    def test_bad_samples_or_design_raise_before_any_kernel(self, estimator):
+        # The table kernels read a negative count as an index from the end: UB_ONE_PERFECT
+        # gave the y = 3 value at y = -1, UB_TWO_PERFECT (0.5, 0, 0, 0.5) at z = (-1, 0, 2),
+        # and c = 0 divided by zero, where the scalar estimators raise.
+        width = 1 if FAMILY[estimator] == "one" else 3
+        good = np.array([[3] * width, [0] * width])
+        negative = good.copy()
+        negative[0, 0] = -1
+        params = dict(specificity=0.9, sensitivity=0.95, misclass=DYADIC_ERRORS)
+        wrong_width = np.ones((2, 4 - width), dtype=np.int64)
+        for samples, c, k in [(negative, 1, 2), (good, 0, 2), (good, 1, 0), (wrong_width, 1, 2),
+                              (good[0], 1, 2)]:
+            with pytest.raises(ValueError, match=r"require \(n, [13]\) samples >= 0, c >= 1, k >= 1"):
+                evaluate_table(estimator, samples, c, k, **params)
+        values, _ = evaluate_table(estimator, good, 1, 2, **params)
+        assert values.shape == (2, 1 if width == 1 else 4)
+
     @pytest.mark.parametrize("estimator", list(EstimatorId))
     def test_zero_rows(self, estimator):
         # MLE_ONE and UB_TWO_MISCLASS_SERIES raised "cannot reshape array of size 0".
