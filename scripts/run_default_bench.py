@@ -12,16 +12,11 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from gtseq.bench import run_mode, write_records  # noqa: E402
-from gtseq.config import load_config  # noqa: E402
+from gtseq.config import RUN_RULES, load_config  # noqa: E402
 
 
-def run(config_name: str, out_path: Path, replicates: int | None, seed: int | None) -> None:
-    config = load_config(str(REPO / "configs" / config_name))
-    if replicates is not None:
-        config.replicates = replicates
-    if seed is not None:
-        config.seed = seed
-    records, _ = run_mode(config)
+def run(config_name: str, out_path: Path, overrides: dict[str, str | None]) -> None:
+    records, _ = run_mode(load_config(str(REPO / "configs" / config_name), overrides))
     write_records(records, "csv", str(out_path))
     ub = [r for r in records if r.estimator.startswith("UB_")]
     mle = [r for r in records if r.estimator.startswith("MLE_")]
@@ -32,23 +27,31 @@ def run(config_name: str, out_path: Path, replicates: int | None, seed: int | No
         print(f"  worst |bias|: unbiased={worst_ub:.2e}  mle={worst_mle:.2e}")
 
 
-def non_negative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def run_setting(key: str):
+    """The argparse type of a flag that overrides [run] key `key`: checked by that key's rule."""
+
+    def check(text: str) -> str:
+        try:
+            RUN_RULES[key](text, None, key)
+        except ValueError as exc:  # the rule's ConfigError
+            # argparse names the flag: "argument --seed: must be >= 0, got -1".
+            raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{key} ")) from None
+        return text
+
+    return check
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="bench_results")
-    parser.add_argument("--replicates", type=non_negative, default=None)
-    parser.add_argument("--seed", type=non_negative, default=None)
+    parser.add_argument("--replicates", type=run_setting("replicates"), default=None)
+    parser.add_argument("--seed", type=run_setting("seed"), default=None)
     args = parser.parse_args()
+    overrides = {"replicates": args.replicates, "seed": args.seed}
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    run("bench_default.cfg", outdir / "bench_one_disease.csv", args.replicates, args.seed)
-    run("bench_two_default.cfg", outdir / "bench_two_disease.csv", args.replicates, args.seed)
+    run("bench_default.cfg", outdir / "bench_one_disease.csv", overrides)
+    run("bench_two_default.cfg", outdir / "bench_two_disease.csv", overrides)
     return 0
 
 

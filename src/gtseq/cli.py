@@ -14,7 +14,7 @@ import os
 import sys
 
 from .bench import run_mode, write_records
-from .config import FORMATS, MODES, load_config
+from .config import FORMATS, MODES, RUN_RULES, load_config
 from .errors import ConfigError, GtseqError
 
 EXIT_OK = 0
@@ -42,10 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
         mode_parser = sub.add_parser(mode, help=_MODE_HELP[mode])
         mode_parser.add_argument("--config", required=True, help="experiment config file")
         mode_parser.add_argument("--out", default=None, help="output path (default: stdout)")
-        mode_parser.add_argument("--format", choices=FORMATS, default=None)
-        mode_parser.add_argument("--seed", type=int, default=None, help="override config seed")
+        mode_parser.add_argument("--format", metavar="|".join(FORMATS), default=None)
+        mode_parser.add_argument("--seed", default=None, help="override config seed")
         mode_parser.add_argument(
-            "--threads", type=int, default=None,
+            "--threads", default=None,
             help="worker threads over grid points (fallback: GTSEQ_THREADS; "
             "default: available CPUs in bench, 1 elsewhere)",
         )
@@ -59,28 +59,17 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 for --help and 2 for usage errors; keep the
         # documented contract where usage problems are validation errors.
         return EXIT_OK if not exc.code else EXIT_VALIDATION
+    # The mode and every flag but --config override the [run] key of the same name.
+    overrides = {key: value for key, value in vars(args).items() if key != "config"}
     try:
         try:
-            config = load_config(args.config, mode_override=args.mode, seed_override=args.seed)
+            config = load_config(args.config, overrides)
         except OSError as exc:
             print(f"gtseq: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
-        for flag, value, minimum in (("--seed", args.seed, 0), ("--threads", args.threads, 1)):
-            if value is not None and value < minimum:
-                raise ConfigError(f"{flag} must be >= {minimum}, got {value}")
-        if args.format is not None:
-            config.format = args.format
-        if args.out is not None:
-            config.out = args.out
-        if args.threads is not None:
-            config.threads = args.threads
-        elif config.threads is None:
-            env = os.environ.get("GTSEQ_THREADS")
-            if env is not None:
-                try:
-                    config.threads = max(1, int(env))
-                except ValueError:
-                    raise ConfigError(f"GTSEQ_THREADS must be an integer, got {env!r}") from None
+        env = os.environ.get("GTSEQ_THREADS")
+        if config.threads is None and env is not None:
+            config.threads = RUN_RULES["threads"](env, None, "GTSEQ_THREADS")
     except ConfigError as exc:
         print(f"gtseq: config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -4,6 +4,7 @@ Grammar: sections in square brackets ([run] and [model]), one `key = value`
 per line, `#` comments, comma-separated lists whose items may be colon-separated
 tuples (`misclass = 1:1, 0.98:0.95`).  Every error about a written line
 carries its number; a rejected grid point names its `p` or `misclass` line.
+A [run] key's one rule (RUN_RULES) reads its line and any override alike.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ MODES = ("estimate", "verify-unbiased", "scan-properness", "identify", "simulate
 # The modes that draw random counts, and so read the seed.
 SEEDED_MODES = ("simulate", "bench")
 FORMATS = ("csv", "jsonl")
-FAMILIES = ("one", "two")
 
 # Artifact-defined default benchmark grid: rare-trait regimes where pooling
 # is actually used, under a perfect and a mildly erring test.
@@ -103,10 +103,7 @@ class ExperimentConfig:
             if mis is None:
                 continue
             try:
-                if len(mis) == 4:
-                    entries.append(IndepErrorParams(*mis))
-                else:
-                    entries.append(IndepErrorParams(*mis, 1.0, 1.0))
+                entries.append(IndepErrorParams(*(*mis, 1.0, 1.0)[:4]))
             except ValueError as exc:
                 raise ConfigError(f"invalid misclass parameters {mis}: {exc}") from exc
         return entries
@@ -156,7 +153,7 @@ def _parse_entries(text: str) -> dict[tuple[str, str], tuple[str, int]]:
             if not line.endswith("]"):
                 raise ConfigError("malformed section header", lineno)
             section = line[1:-1].strip()
-            if section not in ("run", "model"):
+            if section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}] (expected [run] or [model])", lineno)
             continue
         if "=" not in line:
@@ -168,6 +165,8 @@ def _parse_entries(text: str) -> dict[tuple[str, str], tuple[str, int]]:
         value = value.strip()
         if not key:
             raise ConfigError("empty key", lineno)
+        if key not in _KEYS[section]:
+            raise ConfigError(f"unknown key '{key}' in [{section}]", lineno)
         if (section, key) in entries:
             raise ConfigError(f"duplicate key '{key}' in [{section}]", lineno)
         entries[(section, key)] = (value, lineno)
@@ -179,163 +178,158 @@ def _split_list(value: str) -> list[str]:
     return [item for item in items if item]
 
 
-def _parse_int(value: str, lineno: int, key: str, minimum: int | None = None) -> int:
-    try:
-        out = int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}", lineno) from None
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {out}", lineno)
-    return out
-
-
-def _parse_float(value: str, lineno: int, key: str) -> float:
+def _parse_float(value: str, lineno: int | None, key: str) -> float:
     try:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}", lineno) from None
 
 
-def _parse_tuple(value: str, lineno: int, key: str, arity: int, parse=_parse_float) -> tuple:
-    parts = value.split(":")
-    if len(parts) != arity:
-        raise ConfigError(
-            f"{key} items must be {arity} colon-separated numbers, got {value!r}", lineno
-        )
-    return tuple(parse(p, lineno, key) for p in parts)
+def _at_least(minimum: int):
+    """The rule of an integer setting that may not fall below `minimum`."""
+
+    def rule(value: str, lineno: int | None, key: str) -> int:
+        try:
+            out = int(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {value!r}", lineno) from None
+        if out < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {out}", lineno)
+        return out
+
+    return rule
 
 
-def _parse_count(value: str, lineno: int, key: str) -> int:
-    return _parse_int(value, lineno, key, minimum=0)
+def _one_of(choices: tuple[str, ...], message: str):
+    """A rule that accepts only `choices`; `message` is formatted with the key and value."""
+
+    def rule(value: str, lineno: int | None, key: str) -> str:
+        if value not in choices:
+            raise ConfigError(message.format(key=key, value=value), lineno)
+        return value
+
+    return rule
 
 
-_RUN_KEYS = {
-    "mode", "seed", "replicates", "format", "out", "threads",
-    "tol", "bound", "max_violations",
+def _parse_tol(value: str, lineno: int | None, key: str) -> float:
+    tol = _parse_float(value, lineno, key)
+    # Also rejects nan; a tol of 1 or more passes every verify row vacuously.
+    if not 0 < tol < 1:
+        raise ConfigError(f"{key} must lie in (0, 1), got {tol}", lineno)
+    return tol
+
+
+# The one rule of each [run] key, called as rule(value, lineno, name); it returns the
+# value or raises ConfigError.  `name` is the key for a config line, and the flag or
+# environment variable for an override.
+RUN_RULES = {
+    "mode": _one_of(MODES, "{key} must be one of " + ", ".join(MODES) + "; got {value!r}"),
+    "seed": _at_least(0),
+    "replicates": _at_least(0),
+    "format": _one_of(FORMATS, "{key} must be csv or jsonl, got {value!r}"),
+    "out": lambda value, lineno, key: value,
+    "threads": _at_least(1),
+    "tol": _parse_tol,
+    "bound": _at_least(0),
+    "max_violations": _at_least(1),
 }
-_MODEL_KEYS = {"family", "p", "k", "c", "misclass", "estimators", "y", "z"}
+
+# The item rule of each [model] grid and the ExperimentConfig field it fills.
+_GRIDS = {
+    "p": (_parse_float, "p_grid"),
+    "k": (_at_least(1), "k_grid"),
+    "c": (_at_least(1), "c_grid"),
+    "misclass": (_parse_float, "misclass_grid"),
+    "y": (_at_least(0), "samples"),
+    "z": (_at_least(0), "samples"),
+}
+# Each family's item arity in the p and misclass grids, and its sample key (y or z)
+# with the arity of a sample.  Grids not named here take single values.
+_FAMILY_ARITY = {
+    "one": {"p": 1, "misclass": 2, "y": 1},
+    "two": {"p": 3, "misclass": 4, "z": 3},
+}
+_parse_family = _one_of(tuple(_FAMILY_ARITY), "{key} must be 'one' or 'two', got {value!r}")
+_KEYS = {"run": RUN_RULES.keys(), "model": {"family", "estimators", *_GRIDS}}
 
 _KNOWN_ESTIMATORS = {"ub", "mle", *(est.value for est in EstimatorId)}
 
 
-def parse_config(
-    text: str, mode_override: str | None = None, seed_override: int | None = None
-) -> ExperimentConfig:
+def _parse_grid(value: str, lineno: int, key: str, parse, arity: int) -> tuple:
+    """The list rule of every [model] grid: comma-separated items, each one value read
+    by `parse`, or at arity > 1 a tuple of `arity` colon-separated values.  A misclass
+    item may instead name the perfect test; only the sample grids may be empty."""
+    grid: list = []
+    for item in _split_list(value):
+        if key == "misclass" and item in ("perfect", "identity", "none"):
+            grid.append(None)
+        elif arity == 1:
+            grid.append(parse(item, lineno, key))
+        else:
+            parts = item.split(":")
+            if len(parts) != arity:
+                msg = f"{key} items must be {arity} colon-separated numbers, got {item!r}"
+                raise ConfigError(msg, lineno)
+            grid.append(tuple(parse(part, lineno, key) for part in parts))
+    if not grid and key not in ("y", "z"):
+        raise ConfigError(f"{key} grid must be non-empty", lineno)
+    return tuple(grid)
+
+
+def parse_config(text: str, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
     """Parse and fully validate a configuration; raises ConfigError with line numbers.
 
     Every grid parameter is run through the model constructors before this
-    returns, so a config that parses is a config that can run.  A
-    `seed_override` replaces the config's seed line, or supplies one it lacks.
+    returns, so a config that parses is a config that can run.  `overrides`
+    maps [run] keys to values written as on a line (None: not given), such as
+    command-line flags.  Each is read by its key's rule and named `--key` in an
+    error.  It replaces the key's line, which is still checked, or supplies a
+    line the config lacks; a `mode` override must agree with the mode line.
     """
     entries = _parse_entries(text)
-
-    for (section, key), (_, lineno) in entries.items():
-        known = _RUN_KEYS if section == "run" else _MODEL_KEYS
-        if key not in known:
-            raise ConfigError(f"unknown key '{key}' in [{section}]", lineno)
-
-    def get(section: str, key: str) -> tuple[str, int] | None:
-        return entries.get((section, key))
-
-    raw_mode = get("run", "mode")
-    if raw_mode is not None:
-        mode_value, lineno = raw_mode
-        if mode_value not in MODES:
-            raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {mode_value!r}", lineno)
-        if mode_override is not None and mode_override != mode_value:
-            raise ConfigError(
-                f"config mode '{mode_value}' conflicts with requested mode '{mode_override}'",
-                lineno,
-            )
-        mode = mode_value
-    elif mode_override is not None:
-        mode = mode_override
-    else:
+    overrides = {key: value for key, value in (overrides or {}).items() if value is not None}
+    for key in overrides.keys() - RUN_RULES.keys():
+        raise ConfigError(f"unknown override '{key}' (not a [run] key)")
+    cfg: dict[str, Any] = {"seed": None}
+    for key, rule in RUN_RULES.items():
+        raw = entries.get(("run", key))
+        if raw is not None:
+            cfg[key] = rule(raw[0], raw[1], key)
+        if key in overrides:
+            value = rule(overrides[key], None, f"--{key}")
+            if key == "mode" and raw is not None and cfg[key] != value:
+                msg = f"config mode '{cfg[key]}' conflicts with requested mode '{value}'"
+                raise ConfigError(msg, raw[1])
+            cfg[key] = value
+    if "mode" not in cfg:
         raise ConfigError("missing required key 'mode' in [run]")
-
-    raw_seed = get("run", "seed")
-    # A seed line is checked even when overridden.
-    seed = None if raw_seed is None else _parse_int(raw_seed[0], raw_seed[1], "seed", minimum=0)
-    if seed_override is not None:
-        seed = seed_override
-    elif seed is None and mode in SEEDED_MODES:
+    mode = cfg["mode"]
+    if cfg["seed"] is None and mode in SEEDED_MODES:
         raise ConfigError("missing required key 'seed' in [run]")
 
-    family = "one"
-    raw_family = get("model", "family")
-    if raw_family is not None:
-        family, lineno = raw_family
-        if family not in FAMILIES:
-            raise ConfigError(f"family must be 'one' or 'two', got {family!r}", lineno)
+    # A config without a family line is a one-trait config.
+    family = _parse_family(*entries.get(("model", "family"), ("one", None)), "family")
+    cfg["family"] = family
 
-    cfg: dict[str, Any] = {"mode": mode, "seed": seed, "family": family}
-
-    if (raw := get("run", "replicates")) is not None:
-        cfg["replicates"] = _parse_int(raw[0], raw[1], "replicates", minimum=0)
-    if (raw := get("run", "format")) is not None:
-        if raw[0] not in FORMATS:
-            raise ConfigError(f"format must be csv or jsonl, got {raw[0]!r}", raw[1])
-        cfg["format"] = raw[0]
-    if (raw := get("run", "out")) is not None:
-        cfg["out"] = raw[0]
-    if (raw := get("run", "threads")) is not None:
-        cfg["threads"] = _parse_int(raw[0], raw[1], "threads", minimum=1)
-    if (raw := get("run", "tol")) is not None:
-        tol = _parse_float(raw[0], raw[1], "tol")
-        # Also rejects nan; a tol of 1 or more passes every verify row vacuously.
-        if not 0 < tol < 1:
-            raise ConfigError(f"tol must lie in (0, 1), got {tol}", raw[1])
-        cfg["tol"] = tol
-    if (raw := get("run", "bound")) is not None:
-        cfg["bound"] = _parse_int(raw[0], raw[1], "bound", minimum=0)
-    if (raw := get("run", "max_violations")) is not None:
-        cfg["max_violations"] = _parse_int(raw[0], raw[1], "max_violations", minimum=1)
-
-    needs_model = mode != "identify"
-    raw_p = get("model", "p")
-    if raw_p is not None:
-        value, lineno = raw_p
-        if family == "one":
-            cfg["p_grid"] = tuple(_parse_float(v, lineno, "p") for v in _split_list(value))
-        else:
-            cfg["p_grid"] = tuple(_parse_tuple(v, lineno, "p", 3) for v in _split_list(value))
-        if not cfg["p_grid"]:
-            raise ConfigError("p grid must be non-empty", lineno)
-    elif needs_model:
-        raise ConfigError("missing required key 'p' in [model]")
-    elif family == "two":
-        cfg["p_grid"] = DEFAULT_TWO_P_GRID
-
-    for key, minimum in (("k", 1), ("c", 1)):
-        raw = get("model", key)
-        if raw is not None:
-            value, lineno = raw
-            grid = tuple(_parse_int(v, lineno, key, minimum=minimum) for v in _split_list(value))
-            if not grid:
-                raise ConfigError(f"{key} grid must be non-empty", lineno)
-            cfg[f"{key}_grid"] = grid
-        elif needs_model:
-            raise ConfigError(f"missing required key '{key}' in [model]")
-
-    raw_mis = get("model", "misclass")
-    if raw_mis is not None:
-        value, lineno = raw_mis
-        items = _split_list(value)
-        grid: list = []
-        for item in items:
-            if item in ("perfect", "identity", "none"):
-                grid.append(None)
-            elif family == "one":
-                grid.append(_parse_tuple(item, lineno, "misclass", 2))
-            else:
-                grid.append(_parse_tuple(item, lineno, "misclass", 4))
-        if not grid:
-            raise ConfigError("misclass grid must be non-empty", lineno)
-        cfg["misclass_grid"] = tuple(grid)
-    elif mode == "identify":
+    arity = _FAMILY_ARITY[family]
+    [sample_key] = arity.keys() & {"y", "z"}
+    for key, (parse, field) in _GRIDS.items():
+        if (raw := entries.get(("model", key))) is None:
+            continue
+        if field == "samples" and key != sample_key:
+            raise ConfigError(f"sample key '{key}' does not match family '{family}'", raw[1])
+        cfg[field] = _parse_grid(*raw, key, parse, arity.get(key, 1))
+    # A one-trait sample y is the count vector (y,).
+    cfg["samples"] = tuple(s if isinstance(s, tuple) else (s,) for s in cfg.get("samples", ()))
+    raw_mis = entries.get(("model", "misclass"))
+    if mode != "identify":
+        for key in ("p", "k", "c"):
+            if ("model", key) not in entries:
+                raise ConfigError(f"missing required key '{key}' in [model]")
+    elif raw_mis is None:
         raise ConfigError("identify mode requires a 'misclass' grid in [model]")
 
-    if (raw := get("model", "estimators")) is not None:
+    if (raw := entries.get(("model", "estimators"))) is not None:
         value, lineno = raw
         names = tuple(_split_list(value))
         for name in names:
@@ -347,22 +341,7 @@ def parse_config(
             raise ConfigError("estimators list must be non-empty", lineno)
         cfg["estimators"] = names
 
-    sample_key = "y" if family == "one" else "z"
-    if (raw := get("model", sample_key)) is not None:
-        value, lineno = raw
-        if family == "one":
-            cfg["samples"] = tuple((_parse_count(v, lineno, "y"),) for v in _split_list(value))
-        else:
-            cfg["samples"] = tuple(
-                _parse_tuple(v, lineno, "z", 3, _parse_count) for v in _split_list(value)
-            )
-    other_sample = "z" if family == "one" else "y"
-    if get("model", other_sample) is not None:
-        raise ConfigError(
-            f"sample key '{other_sample}' does not match family '{family}'",
-            get("model", other_sample)[1],
-        )
-    if mode == "estimate" and not cfg.get("samples"):
+    if mode == "estimate" and not cfg["samples"]:
         raise ConfigError(f"estimate mode requires sample points ('{sample_key}' in [model])")
 
     config = ExperimentConfig(**cfg)
@@ -372,14 +351,13 @@ def parse_config(
     except ConfigError as exc:
         # A model check names what it rejects: a prevalence (p, p10, ...) or an error rate.
         key = "p" if str(exc.__cause__).startswith("p") else "misclass"
-        raise ConfigError(str(exc), get("model", key)[1]) from exc.__cause__
+        raise ConfigError(str(exc), entries[("model", key)][1]) from exc.__cause__
     if mode in ("bench", "estimate", "scan-properness", "verify-unbiased"):
         _check_runnable(config, raw_mis[1] if raw_mis else None)
     return config
 
 
-def load_config(
-    path: str, mode_override: str | None = None, seed_override: int | None = None
-) -> ExperimentConfig:
+def load_config(path: str, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
+    """:func:`parse_config` of the file at `path`, with the same `overrides`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), mode_override, seed_override)
+        return parse_config(fh.read(), overrides)

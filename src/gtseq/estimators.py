@@ -352,8 +352,10 @@ class MleOneResult(NamedTuple):
 def mle_one(
     y: int, c: int, k: int, specificity: Number = 1, sensitivity: Number = 1
 ) -> MleOneResult:
-    """Plug-in MLE baseline at one sample: a one-row :func:`mle_one_table`."""
-    values, clamped = mle_one_table(np.array([[y]]), c, k, specificity, sensitivity)
+    """Plug-in MLE baseline at one sample: a one-row :func:`evaluate_table`, with its checks."""
+    values, clamped = evaluate_table(
+        EstimatorId.MLE_ONE, np.array([[y]]), c, k, specificity=specificity, sensitivity=sensitivity
+    )
     return MleOneResult(values.item(), bool(clamped[0]))
 
 
@@ -548,8 +550,8 @@ class MleTwoResult(NamedTuple):
 def mle_two(
     z: tuple[int, int, int], c: int, k: int, misclass: MisclassModel | None = None
 ) -> MleTwoResult:
-    """Plug-in MLE baseline for two traits at one sample: a one-row :func:`mle_two_table`."""
-    values, clamped = mle_two_table(np.array([z]), c, k, misclass)
+    """Plug-in MLE baseline for two traits at one sample: a one-row :func:`evaluate_table`."""
+    values, clamped = evaluate_table(EstimatorId.MLE_TWO, np.array([z]), c, k, misclass=misclass)
     return MleTwoResult(tuple(values[0].tolist()), bool(clamped[0]))
 
 

@@ -1,6 +1,7 @@
 """Bench harness and CLI: records, formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -250,6 +251,18 @@ class TestDefaultThreads:
         text = BENCH_CFG.replace("replicates = 4000", f"replicates = 200\nthreads = {threads}")
         run_mode(parse_config(text))
         assert sizes == ([threads] if threads > 1 else [])
+
+    def test_flags_win_over_the_config_lines(self, tmp_path, monkeypatch):
+        sizes = self._record_pools(monkeypatch, 8)
+        line_out, flag_out = tmp_path / "line.jsonl", tmp_path / "flag.csv"
+        text = BENCH_CFG.replace(
+            "replicates = 4000", f"replicates = 200\nthreads = 1\nformat = jsonl\nout = {line_out}"
+        )
+        cfg = write_cfg(tmp_path, text)
+        args = ["bench", "--config", cfg, "--threads", "2", "--format", "csv", "--out", str(flag_out)]
+        assert main(args) == 0
+        assert sizes == [2] and not line_out.exists()
+        assert flag_out.read_text().startswith(",".join(CSV_HEADER) + "\n")
 
     @pytest.mark.parametrize(
         "mode, run_line, model_line",
@@ -616,6 +629,21 @@ misclass = 0.98:0.95
         assert main(["bench", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize("env", ["0", "-2"])
+    def test_threads_env_is_read_by_the_threads_rule(self, tmp_path, monkeypatch, capsys, env):
+        # GTSEQ_THREADS had its own parse, which ran 0 or -2 on one thread without a word.
+        monkeypatch.setenv("GTSEQ_THREADS", env)
+        cfg = write_cfg(tmp_path, BENCH_CFG)
+        assert main(["bench", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"gtseq: config error: GTSEQ_THREADS must be >= 1, got {env}\n"
+        # A flag or a threads line sets threads, so the variable is not read.
+        assert main(["bench", "--config", cfg, "--threads", "1", "--out", str(tmp_path / "o")]) == 0
+
+    def test_bad_seed_line_is_reported_under_a_seed_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BENCH_CFG.replace("seed = 20240901", "seed = -1"))
+        assert main(["bench", "--config", cfg, "--seed", "5"]) == 1
+        assert capsys.readouterr().err == "gtseq: config error: line 3: seed must be >= 0, got -1\n"
+
     def test_ub_bench_past_the_pool_row_limit_is_a_numerical_error(self, tmp_path):
         # Largest sample total at the second point is about 5e9: the row is refused before
         # it is allocated, and the message names the grid point it came from.
@@ -688,6 +716,28 @@ misclass = 0.98:0.95
         )
         assert proc.returncode == 0
         assert "--config" in proc.stdout
+
+
+# sha256 of render_records(records, "csv"); each equals sha256sum of
+# `gtseq <mode> --config configs/<name>.cfg --out F`.  The other four shipped
+# configs are pinned in tests/test_estimators.py.
+SHIPPED_CSV_SHA256 = {
+    "bench_default": "075a82c09ca225902471c247fa568df1d66fab082415ebf9520b0b70b777a28f",
+    "verify_default": "a9f383735a214e33097c235d9dc3d9929acb0749f92e5456763f1f2ac424f917",
+    "verify_two_default": "0218ac48b5e82345fb57169fc7f5d178a83c63baade43e2cf670f60b9e66f990",
+    "scan_improper": "bd38149f6aa39f6705848e0cae66778d50079994e7e9f3e69243ed90bd2229f5",
+    "identify_grid": "ccc8ed53923eb308ccdd010cf75dbe27cb721b1f091676b2d4223bdeb032fd94",
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED_CSV_SHA256)
+@pytest.mark.filterwarnings("ignore:misclassification parameter <= 0.5")  # identify_grid's weak entry
+def test_shipped_config_bytes(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    records, _ = run_mode(cfg)
+    text = render_records(records, cfg.format)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHIPPED_CSV_SHA256[name]
 
 
 @pytest.mark.parametrize("flag", ["--replicates", "--seed"])

@@ -150,12 +150,25 @@ class TestValidationErrors:
 
     def test_mode_conflict_with_override(self):
         with pytest.raises(ConfigError, match="conflicts"):
-            parse_config(MINIMAL, mode_override="simulate")
+            parse_config(MINIMAL, {"mode": "simulate"})
 
     def test_mode_override_fills_missing_mode(self):
         text = MINIMAL.replace("mode = bench\n", "")
-        cfg = parse_config(text, mode_override="simulate")
+        cfg = parse_config(text, {"mode": "simulate"})
         assert cfg.mode == "simulate"
+
+    def test_override_outside_the_run_keys_rejected(self):
+        for key in ("p", "sed"):
+            with pytest.raises(ConfigError, match=rf"^unknown override '{key}' \(not a \[run\] key\)$"):
+                parse_config(MINIMAL, {key: "1"})
+
+    def test_override_is_read_by_its_keys_rule_and_the_line_still_checked(self):
+        cfg = parse_config(MINIMAL, {"seed": "7", "replicates": None, "tol": "0.5"})
+        assert (cfg.seed, cfg.replicates, cfg.tol) == (7, 100_000, 0.5)
+        with pytest.raises(ConfigError, match=r"^--tol must lie in \(0, 1\), got 2\.0$"):
+            parse_config(MINIMAL, {"tol": "2"})
+        with pytest.raises(ConfigError, match=r"^line 3: seed must be an integer, got 'x'$"):
+            parse_config(MINIMAL.replace("seed = 42", "seed = x"), {"seed": "7"})
 
     def test_model_constructor_errors_surface_as_config_errors(self):
         text = MINIMAL.replace("p = 0.05", "p = 1.5")

@@ -900,6 +900,22 @@ class TestEvaluate:
         values, _ = evaluate_table(estimator, good, 1, 2, **params)
         assert values.shape == (2, 1 if width == 1 else 4)
 
+    def test_scalar_mles_raise_on_bad_samples_or_design(self):
+        # The scalar MLEs went to their table kernels unchecked: mle_one(-1, 1, 2) gave
+        # (0.0, True), mle_one(3, 0, 2) (1.0, True), mle_two((1, 0, 0), 0, 2) (0, 1, 0, 0),
+        # and mle_two((-1, 0, 0), 1, 2) a NaN row flagged not clamped.
+        match = r"require \(n, [13]\) samples >= 0, c >= 1, k >= 1"
+        calls = [
+            lambda: mle_one(-1, 1, 2),
+            lambda: mle_one(3, 0, 2),
+            lambda: mle_two((-1, 0, 0), 1, 2),
+            lambda: mle_two((1, 0, 0), 0, 2),
+            lambda: evaluate(EstimatorId.MLE_TWO, (-1, 0, 0), 1, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call()
+
     @pytest.mark.parametrize("estimator", list(EstimatorId))
     def test_zero_rows(self, estimator):
         # MLE_ONE and UB_TWO_MISCLASS_SERIES raised "cannot reshape array of size 0".
