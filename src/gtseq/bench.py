@@ -6,7 +6,8 @@ by grid index, so output is byte-identical regardless of the worker count.
 numpy releases the GIL while it draws, so `bench` runs its points on one
 thread per available CPU unless `threads` is set; the other modes are
 GIL-bound Python and run serially unless it is.  A failing point stops the
-points after it from starting, and the first failure in grid order is raised.
+points after it from starting, and the first failure in grid order is raised;
+a point that runs out of memory raises a GtseqError that names it.
 Monte Carlo summaries are sums over distinct samples weighted by their counts.
 """
 
@@ -43,7 +44,7 @@ from .model import (
     observed_pos_prob,
     pool_cell_probs,
 )
-from .plans import simulate_imn_counts
+from .plans import imn_draws, simulate_imn_counts
 from .verify import verify_one, verify_two
 
 
@@ -169,8 +170,8 @@ def _flags(**counts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_counts(point: GridPoint, config: ExperimentConfig) -> np.ndarray:
-    """Terminal counts of the grid point's walks, one replicate per row."""
+def _walk_args(point: GridPoint, config: ExperimentConfig) -> tuple:
+    """(c, step probabilities, replicates, RNG stream) of the grid point's walks."""
     model = point.model
     if point.family == "one":
         step_probs: tuple[float, ...] = (float(observed_pos_prob(model)),)
@@ -178,30 +179,38 @@ def _simulate_counts(point: GridPoint, config: ExperimentConfig) -> np.ndarray:
         probs = pool_cell_probs(model) if model.is_perfect_test else observed_cell_probs(model)
         step_probs = tuple(float(v) for v in probs[:3])
     seed_seq = np.random.SeedSequence(config.seed, spawn_key=(point.index,))
-    return simulate_imn_counts(point.c, step_probs, config.replicates, seed_seq)
+    return point.c, step_probs, config.replicates, seed_seq
 
 
 def tally(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of `counts` in lexicographic order, and their multiplicities.
 
-    Rows are keyed by one mixed-radix integer while (max + 1)**t fits in int64;
+    Rows are keyed by one mixed-radix integer while (max + 1)**t fits in intp;
     past that the key would wrap, and the slower row-wise `np.unique` gives the
-    same order exactly.  While the key range is at most the row count, the keys
-    are counted with `np.bincount`, else sorted in place with their runs marked
-    in one mask: beside `counts` a tally holds one key per row and O(m) more.
+    same order exactly.
     """
-    n, t = counts.shape
-    base = int(counts.max()) + 1
-    size = base**t
-    if size > np.iinfo(np.intp).max:
+    t = counts.shape[1]
+    base = int(counts.max(initial=0)) + 1
+    if base**t > np.iinfo(np.intp).max:
         return np.unique(counts, axis=0, return_counts=True)
-    keys = counts[:, 0] if t == 1 else np.ravel_multi_index(tuple(counts.T), (base,) * t)
+    # A row's key is its dot product with the place values base**(t-1), ..., base, 1.
+    return _tally_keys(counts @ base ** np.arange(t - 1, -1, -1), base, t)
+
+
+def _tally_keys(keys: np.ndarray, base: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """`tally` of the rows whose keys in `base` are `keys`, which it may sort in place.
+
+    While the key range is at most the row count, the keys are counted with
+    `np.bincount`, else sorted with their runs marked in one mask: beside the
+    keys a tally holds one bool per row, then O(distinct rows).
+    """
+    n = len(keys)
+    size = base**t
     if size <= n:
         weights = np.bincount(keys, minlength=size)
         keys = np.flatnonzero(weights)
         weights = weights[keys]
     else:
-        keys = keys.copy() if t == 1 else keys  # one trait's keys are a view of `counts`
         keys.sort()
         # run_start[i]: a run of equal keys starts at row i; row n closes the last run.
         run_start = np.empty(n + 1, dtype=bool)
@@ -215,11 +224,28 @@ def tally(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return samples, weights
 
 
+def _draw_tally(point: GridPoint, config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`tally` of the grid point's walks: one int64 per replicate plus one block, then O(distinct).
+
+    No count exceeds its total, so each block's keys in base max total + 1 are
+    written over that block's own totals.
+    """
+    totals, blocks = imn_draws(*_walk_args(point, config))
+    t = len(point.p)
+    base = int(totals.max(initial=0)) + 1
+    if base**t > np.iinfo(np.intp).max:
+        return tally(np.concatenate([block for _, block in blocks]))
+    if t > 1:  # one trait's keys are its totals
+        place = base ** np.arange(t - 1, -1, -1)
+        for rows, block in blocks:
+            np.matmul(block, place, out=totals[rows])
+    return _tally_keys(totals, base, t)
+
+
 def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
     if config.replicates == 0:
         return []
-    # The counts are dropped once tallied, before the estimator tables are built.
-    samples, weights = tally(_simulate_counts(point, config))
+    samples, weights = _draw_tally(point, config)
     model = point.model
     truths = (model.p,) if point.family == "one" else tuple(map(float, model.prevalences()))
     params = _params(point)
@@ -301,7 +327,7 @@ def _verify_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRe
 
 
 def _simulate_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
-    counts = _simulate_counts(point, config)
+    counts = simulate_imn_counts(*_walk_args(point, config))
     records = []
     for index, row in enumerate(counts):
         records.append(
@@ -370,9 +396,11 @@ def run_mode(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
         except Exception as exc:
             with failed_lock:
                 failed_at = min(failed_at, position)
-            if not isinstance(exc, GtseqError):
+            if not isinstance(exc, (GtseqError, MemoryError)):
                 raise
             where = f"grid point p={point.p} k={point.k} c={point.c} misclass={point.misclass}"
+            if isinstance(exc, MemoryError):  # numpy's message names the refused allocation
+                raise GtseqError(f"{where}: out of memory: {exc}") from exc
             raise type(exc)(f"{where}: {exc}") from exc
 
     if threads > 1:

@@ -309,36 +309,51 @@ def simulate(
                 )
 
 
+# Rows per multinomial draw in imn_draws.
+IMN_BLOCK = 1 << 14
+
+
+def imn_draws(
+    c: int,
+    mu: Sequence[float],
+    n_replicates: int,
+    seed: int | np.random.SeedSequence | np.random.Generator,
+) -> tuple[np.ndarray, Iterator[tuple[slice, np.ndarray]]]:
+    """Totals of `n_replicates` IMN_t(c, mu) walks, and their counts in blocks of rows.
+
+    The tracked draws before the c-th reference draw are negative binomial in
+    number and multinomial in split.  Every total is drawn first; the iterator
+    then draws IMN_BLOCK rows' splits at a time and yields (rows, counts), so a
+    caller may overwrite the totals of blocks already yielded.  Since
+    `Generator.multinomial` draws row by row (nothing for one class), neither
+    the counts nor the generator's final state depend on the block size.
+    """
+    mu = _check_mu(tuple(float(v) for v in mu))
+    rng = np.random.default_rng(seed)
+    tracked = float(sum(mu))
+    totals = rng.negative_binomial(c, 1.0 - tracked, size=n_replicates)
+    split = np.asarray(mu) / (tracked or 1.0)  # with no tracked mass every total is 0
+    blocks = (slice(start, start + IMN_BLOCK) for start in range(0, n_replicates, IMN_BLOCK))
+    return totals, ((rows, rng.multinomial(totals[rows], split)) for rows in blocks)
+
+
 def simulate_imn_counts(
     c: int,
     mu: Sequence[float],
     n_replicates: int,
-    seed: int | np.random.SeedSequence,
+    seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized terminal tracked counts for the inverse multinomial plan.
+    """Terminal tracked counts of IMN_t(c, mu) walks, one walk per row, from :func:`imn_draws`.
 
-    Distributionally identical to stepping walks under :func:`imn_plan`:
-    the number of tracked draws before the c-th reference draw is negative
-    binomial, and the split across tracked classes is multinomial.
-    Deterministic in (seed, n_replicates).
+    Distributionally identical to stepping walks under :func:`imn_plan`;
+    deterministic in (seed, n_replicates).  The bench tallies the same draws
+    holding one int64 per replicate plus one block, not these (n, t) counts.
     """
-    mu = _check_mu(tuple(float(v) for v in mu))
-    t = len(mu)
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    )
-    if n_replicates == 0:
-        return np.zeros((0, t), dtype=np.int64)
-    tracked = float(sum(mu))
-    mu0 = 1.0 - tracked
-    totals = rng.negative_binomial(c, mu0, size=n_replicates)
-    if t == 1:
-        # A one-class multinomial draws nothing; the counts are the totals.
-        return totals[:, None]
-    if tracked > 0.0:
-        split = np.asarray(mu, dtype=float) / tracked
-        return rng.multinomial(totals, split)
-    return np.zeros((n_replicates, t), dtype=np.int64)
+    totals, blocks = imn_draws(c, mu, n_replicates, seed)
+    counts = np.empty((totals.size, len(mu)), dtype=np.int64)
+    for rows, block in blocks:
+        counts[rows] = block
+    return counts
 
 
 # ---------------------------------------------------------------------------

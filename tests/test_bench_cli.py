@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtseq import bench
+from gtseq import bench, plans
 from gtseq.bench import CSV_HEADER, EstimateRecord, render_records, run_mode, tally
 from gtseq.cli import main
 from gtseq.config import parse_config, resolve_estimators
@@ -319,6 +319,42 @@ class TestTally:
         assert [tuple(row) for row in samples.tolist()] == [row for row, _ in expected]
         assert weights.tolist() == [n for _, n in expected]
 
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_zero_rows(self, t):
+        # The key base was read off counts.max(), which has no value for zero rows.
+        samples, weights = tally(simulate_imn_counts(2, (0.1, 0.1, 0.05)[:t], 0, 1))
+        assert samples.shape == (0, t) and samples.dtype == np.int64
+        assert weights.shape == (0,)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_bench_draws_past_the_int64_key(self, monkeypatch, block):
+        # The largest total is about 6.6e9, so the bench's keys in base max total + 1
+        # would wrap: the point's blocks are stacked and tallied row-wise.
+        if block is not None:
+            monkeypatch.setattr(plans, "IMN_BLOCK", block)
+        text = LARGE_TOTALS_CFG.format(seed=4, replicates=200, k=30, c=1, estimators="mle")
+        config = parse_config(text)
+        (point,) = config.points
+        counts = simulate_imn_counts(*bench._walk_args(point, config))
+        assert (int(counts.sum(axis=1).max()) + 1) ** 3 > 2**63
+        samples, weights = bench._draw_tally(point, config)
+        want_samples, want_weights = np.unique(counts, axis=0, return_counts=True)
+        assert np.array_equal(samples, want_samples) and np.array_equal(weights, want_weights)
+
+
+class TestBlockSize:
+    """Bench bytes do not depend on how many rows each multinomial block draws."""
+
+    @pytest.mark.parametrize("name", ["bench_two_default", "bench_two_misclass"])
+    def test_csv_bytes_do_not_depend_on_the_block_size(self, monkeypatch, name):
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+        text = path.read_text(encoding="utf-8")
+        reduced = {"replicates": "3000"}
+        want = render_records(run_mode(parse_config(text, reduced))[0], "csv")
+        for block in (1, 7, 3000):
+            monkeypatch.setattr(plans, "IMN_BLOCK", block)
+            assert render_records(run_mode(parse_config(text, reduced))[0], "csv") == want
+
 
 class TestPointMemory:
     def test_heaviest_two_trait_point_allocates_under_10_mib(self):
@@ -335,6 +371,21 @@ class TestPointMemory:
         finally:
             tracemalloc.stop()
         assert len(records) == 8 and peak < 10 * 2**20, peak
+
+    def test_light_point_at_a_million_replicates_allocates_under_12_mib(self):
+        # Drawing and tallying kept the totals, the (n, 3) counts and a key array alive,
+        # about 40 bytes per replicate: 30.5 MiB here.  The keys now overwrite the totals
+        # block by block, so the point holds one int64 per replicate plus one block.
+        path = Path(__file__).resolve().parent.parent / "configs" / "bench_two_default.cfg"
+        cfg = parse_config(path.read_text(encoding="utf-8"), {"replicates": "1000000"})
+        point = next(p for p in cfg.points if (p.p, p.k, p.c) == ((0.01, 0.01, 0.005), 2, 1))
+        tracemalloc.start()
+        try:
+            samples, weights = bench._draw_tally(point, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(weights.sum()) == 1_000_000 and peak < 12 * 2**20, peak
 
 
 class TestTallyPaths:
@@ -383,8 +434,10 @@ class TestWeightedSummary:
         flagged = set()
         for point in config.points:
             records = iter(bench._bench_point(point, config))
-            counts = bench._simulate_counts(point, config)
+            counts = simulate_imn_counts(*bench._walk_args(point, config))
             samples, weights = tally(counts)
+            drawn = bench._draw_tally(point, config)
+            assert np.array_equal(drawn[0], samples) and np.array_equal(drawn[1], weights)
             order = np.lexsort(counts.T[::-1])
             assert np.array_equal(np.repeat(samples, weights, axis=0), counts[order])
             model = point.model
@@ -657,26 +710,40 @@ misclass = 0.98:0.95
             assert "at k=30, c=1 exceeds the pool-factor row limit" in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    def test_point_out_of_memory_is_a_numerical_error(self, tmp_path):
+        # 400M replicates need 3 GiB of totals: numpy's MemoryError left the CLI with
+        # exit 1 and a traceback.  The first point in grid order is named.
+        text = TWO_CFG.replace("replicates = 3000", "replicates = 400000000")
+        text = text.replace("p = 0.1:0.1:0.05", "p = 0.1:0.1:0.05, 0.05:0.05:0.025")
+        cfg = write_cfg(tmp_path, text)
+        for threads in ("1", "2"):
+            proc = run_capped(["-m", "gtseq.cli", "bench", "--config", cfg, "--threads", threads])
+            assert proc.returncode == 3, proc.stderr
+            assert proc.stderr.startswith(
+                "gtseq: grid point p=(0.1, 0.1, 0.05) k=2 c=1 misclass=None: out of memory: "
+            ), proc.stderr
+            assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("failing", [0, 1])
     def test_failing_point_stops_the_points_after_it(self, monkeypatch, failing):
         # The point at grid position `failing` has totals past the pool-row limit; every
-        # other point sleeps, so a pool that kept starting points would call the
-        # simulator for the points queued behind the failure.
+        # other point sleeps, so a pool that kept starting points would draw the
+        # walks of the points queued behind the failure.
         grid = ["0.05:0.05:0.025"] * 8
         grid[failing] = "0.2:0.2:0.1"
         text = LARGE_TOTALS_CFG.format(seed=4, replicates=200, k=30, c=1, estimators="ub")
         config = parse_config(text.replace("p = 0.2:0.2:0.1", "p = " + ", ".join(grid)))
         config.threads = 2
-        simulate = bench._simulate_counts
+        draw = bench._draw_tally
         calls = []
 
         def counted(point, config):
             calls.append(point.index)
             if point.index != failing:
                 time.sleep(0.2)
-            return simulate(point, config)
+            return draw(point, config)
 
-        monkeypatch.setattr(bench, "_simulate_counts", counted)
+        monkeypatch.setattr(bench, "_draw_tally", counted)
         with pytest.raises(DomainError, match=r"^grid point p=\(0\.2, 0\.2, 0\.1\) k=30 c=1 "):
             run_mode(config)
         assert failing in calls and len(calls) <= config.threads, calls

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from gtseq import plans
 from gtseq.errors import DomainError, PlanError, StepCapExceededError
 from gtseq.estimators import EstimatorId, estimator_callable
 from gtseq.plans import (
@@ -14,6 +15,7 @@ from gtseq.plans import (
     FixedTotalPlan,
     StopCountPlan,
     axis_boundary_check,
+    imn_draws,
     imn_plan,
     imn_pmf,
     imn_pmf_exact,
@@ -218,6 +220,45 @@ class TestSimulate:
         rng = np.random.default_rng(np.random.SeedSequence(7))
         assert counts.shape == (1000, 1) and counts.dtype == np.int64
         assert np.array_equal(counts[:, 0], rng.negative_binomial(c, 1 - mu, 1000))
+
+    @pytest.mark.parametrize("mu", [(0.3,), (0.1, 0.1, 0.05)], ids=["t1", "t3"])
+    @pytest.mark.parametrize(
+        "rows", [0, 100, 2 * plans.IMN_BLOCK, 2 * plans.IMN_BLOCK + 1],
+        ids=["empty", "under-one-block", "two-blocks", "partial-last-block"],
+    )
+    def test_blocked_draws_equal_one_call(self, mu, rows):
+        # Generator.multinomial draws row by row, so splitting it into blocks of
+        # IMN_BLOCK rows changes neither the counts nor the generator's final state.
+        rng = np.random.default_rng(31)
+        totals, blocks = imn_draws(3, mu, rows, rng)
+        drawn = [(rows_, block.copy()) for rows_, block in blocks]
+        counts = np.empty((rows, len(mu)), dtype=np.int64)
+        for rows_, block in drawn:
+            counts[rows_] = block
+        assert len(drawn) == -(-rows // plans.IMN_BLOCK)
+        want = np.random.default_rng(31)
+        want_totals = want.negative_binomial(3, 1 - sum(mu), size=rows)
+        want_counts = (
+            want_totals[:, None] if len(mu) == 1
+            else want.multinomial(want_totals, np.asarray(mu) / sum(mu))
+        )
+        assert np.array_equal(totals, want_totals) and totals.dtype == np.int64
+        assert np.array_equal(counts, want_counts)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(simulate_imn_counts(3, mu, rows, 31), want_counts)
+
+    def test_blocks_may_overwrite_the_totals_already_drawn(self, monkeypatch):
+        # The bench writes each block's keys over that block's totals.
+        monkeypatch.setattr(plans, "IMN_BLOCK", 7)
+        want = simulate_imn_counts(2, (0.2, 0.1, 0.05), 50, seed=4)
+        totals, blocks = imn_draws(2, (0.2, 0.1, 0.05), 50, seed=4)
+        for rows, block in blocks:
+            assert np.array_equal(block, want[rows]) and len(block) <= 7
+            totals[rows] = -1
+
+    def test_no_tracked_mass_gives_zero_counts(self):
+        counts = simulate_imn_counts(2, (0.0, 0.0, 0.0), 10, seed=1)
+        assert counts.shape == (10, 3) and not counts.any()
 
 
 class TestTruncatedExpectation:
