@@ -23,8 +23,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .config import ExperimentConfig, GridPoint, resolve_estimators
 from .errors import GtseqError
 from .estimators import TWO_COMPONENTS, evaluate, evaluate_table, scan_properness
@@ -139,6 +137,7 @@ def _summary(
     values: np.ndarray, weights: np.ndarray, truth: float
 ) -> tuple[float, float, float, float]:
     """Mean, bias, MSE and SE of `values` repeated `weights` times; pairwise sums, no BLAS."""
+    import numpy as np
     n = int(np.add.reduce(weights))
     mean = float(np.add.reduce(weights * values)) / n
     mse = float(np.add.reduce(weights * (values - truth) ** 2)) / n
@@ -172,6 +171,7 @@ def _flags(**counts) -> str:
 
 def _walk_args(point: GridPoint, config: ExperimentConfig) -> tuple:
     """(c, step probabilities, replicates, RNG stream) of the grid point's walks."""
+    import numpy as np
     model = point.model
     if point.family == "one":
         step_probs: tuple[float, ...] = (float(observed_pos_prob(model)),)
@@ -189,23 +189,25 @@ def tally(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     past that the key would wrap, and the slower row-wise `np.unique` gives the
     same order exactly.
     """
+    import numpy as np
     t = counts.shape[1]
     base = int(counts.max(initial=0)) + 1
     if base**t > np.iinfo(np.intp).max:
         return np.unique(counts, axis=0, return_counts=True)
     # A row's key is its dot product with the place values base**(t-1), ..., base, 1.
-    return _tally_keys(counts @ base ** np.arange(t - 1, -1, -1), base, t)
+    keys, weights = _tally_keys(counts @ base ** np.arange(t - 1, -1, -1), base**t)
+    return _decode_keys(keys, base, t), weights
 
 
-def _tally_keys(keys: np.ndarray, base: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """`tally` of the rows whose keys in `base` are `keys`, which it may sort in place.
+def _tally_keys(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `keys` in [0, size), ascending, and their multiplicities.
 
-    While the key range is at most the row count, the keys are counted with
-    `np.bincount`, else sorted with their runs marked in one mask: beside the
-    keys a tally holds one bool per row, then O(distinct rows).
+    It may sort `keys` in place.  While the key range is at most the key count,
+    the keys are counted with `np.bincount`, else sorted with their runs marked
+    in one mask: beside the keys it holds one bool per key, then O(distinct keys).
     """
+    import numpy as np
     n = len(keys)
-    size = base**t
     if size <= n:
         weights = np.bincount(keys, minlength=size)
         keys = np.flatnonzero(weights)
@@ -218,10 +220,16 @@ def _tally_keys(keys: np.ndarray, base: int, t: int) -> tuple[np.ndarray, np.nda
         np.not_equal(keys[1:], keys[:-1], out=run_start[1:n])
         weights = np.diff(np.flatnonzero(run_start))
         keys = keys[run_start[:n]]
+    return keys, weights
+
+
+def _decode_keys(keys: np.ndarray, base: int, t: int) -> np.ndarray:
+    """The (len(keys), t) rows whose mixed-radix keys in `base` are `keys`, which it overwrites."""
+    import numpy as np
     samples = np.empty((len(keys), t), dtype=np.int64)
     for j in reversed(range(t)):
         np.divmod(keys, base, out=(keys, samples[:, j]))
-    return samples, weights
+    return samples
 
 
 def _draw_tally(point: GridPoint, config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +238,7 @@ def _draw_tally(point: GridPoint, config: ExperimentConfig) -> tuple[np.ndarray,
     No count exceeds its total, so each block's keys in base max total + 1 are
     written over that block's own totals.
     """
+    import numpy as np
     totals, blocks = imn_draws(*_walk_args(point, config))
     t = len(point.p)
     base = int(totals.max(initial=0)) + 1
@@ -239,10 +248,13 @@ def _draw_tally(point: GridPoint, config: ExperimentConfig) -> tuple[np.ndarray,
         place = base ** np.arange(t - 1, -1, -1)
         for rows, block in blocks:
             np.matmul(block, place, out=totals[rows])
-    return _tally_keys(totals, base, t)
+    keys, weights = _tally_keys(totals, base**t)
+    del totals, blocks  # frees the replicate-length buffer, which an unread iterator also holds
+    return _decode_keys(keys, base, t), weights
 
 
 def _bench_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRecord]:
+    import numpy as np
     if config.replicates == 0:
         return []
     samples, weights = _draw_tally(point, config)

@@ -38,8 +38,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DomainError
 from .model import MisclassModel, positive_nu, two_disease_radicand_forms
 # Not called since mle_two_table inverts every sample at once; perfbench/spans.py traces this name.
@@ -116,6 +114,7 @@ def _pool_factor_rows(k: int, c: int, total: int) -> tuple[np.ndarray, np.ndarra
     1 - head[y] is :func:`unbiased_one` in floats.  For a >= 1 the product over
     a <= j < a + m is tail[a + m]/tail[a]; tail skips f_0, which is 0 at k = c = 1.
     """
+    import numpy as np
     if total >= POOL_ROW_LIMIT:
         raise DomainError(
             f"sample total {total} at k={k}, c={c} exceeds the pool-factor row limit {POOL_ROW_LIMIT}"
@@ -334,6 +333,7 @@ def mle_one_table(
     Returns (n, 1) float estimates and clamp flags.  A radicand (sens - v_hat)/nu
     <= 0 gives 1; an estimate outside [0, 1] is clamped to it; both flag the row.
     """
+    import numpy as np
     nu = float(positive_nu(specificity, sensitivity))
     y = np.asarray(samples, dtype=np.int64)[:, 0]
     radicands = (float(sensitivity) - y / (c + y)) / nu
@@ -353,6 +353,7 @@ def mle_one(
     y: int, c: int, k: int, specificity: Number = 1, sensitivity: Number = 1
 ) -> MleOneResult:
     """Plug-in MLE baseline at one sample: a one-row :func:`evaluate_table`, with its checks."""
+    import numpy as np
     values, clamped = evaluate_table(
         EstimatorId.MLE_ONE, np.array([[y]]), c, k, specificity=specificity, sensitivity=sensitivity
     )
@@ -522,6 +523,7 @@ def mle_two_table(
     radicand its intercept plus a_j (z_j/total) in j order, as
     :func:`gtseq.model.two_disease_radicands` sums it.
     """
+    import numpy as np
     samples = np.asarray(samples, dtype=np.int64)
     total = c + samples.sum(axis=1)
     values, scratch = np.empty((len(samples), 4), order="F"), np.empty(len(samples))
@@ -551,6 +553,7 @@ def mle_two(
     z: tuple[int, int, int], c: int, k: int, misclass: MisclassModel | None = None
 ) -> MleTwoResult:
     """Plug-in MLE baseline for two traits at one sample: a one-row :func:`evaluate_table`."""
+    import numpy as np
     values, clamped = evaluate_table(EstimatorId.MLE_TWO, np.array([z]), c, k, misclass=misclass)
     return MleTwoResult(tuple(values[0].tolist()), bool(clamped[0]))
 
@@ -608,6 +611,7 @@ def evaluate_table(
     largest y, UB_TWO_MISCLASS_SERIES one :func:`_two_misclass_walk` over the sorted
     rows, and the MLEs are :func:`mle_one_table` and :func:`mle_two_table`.
     """
+    import numpy as np
     samples = np.asarray(samples, dtype=np.int64)
     width = 1 if FAMILY.get(estimator) == "one" else 3
     if samples.ndim != 2 or samples.shape[1] != width or samples.min(initial=0) < 0 or c < 1 or k < 1:

@@ -22,8 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DomainError, PlanError, StepCapExceededError
 from .numerics import Number, as_fraction, multinomial_coeff
 
@@ -199,6 +197,7 @@ def imn_pmf(x: Sequence[int] | np.ndarray, c: int, mu: Sequence[Number]) -> floa
     x is one count vector (the result is a float) or an (n, t) integer array
     with one count vector per row (the result is n floats).
     """
+    import numpy as np
     mu = _check_mu(mu)
     counts = np.asarray(x, dtype=np.int64)
     if counts.ndim not in (1, 2) or counts.shape[-1] != len(mu):
@@ -282,6 +281,7 @@ def simulate(
     cap guards against non-terminating plans (inverse plans with a positive
     reference probability terminate almost surely).
     """
+    import numpy as np
     probs = np.asarray(step_probs, dtype=float)
     if probs.shape != (plan.dim,):
         raise DomainError(f"step_probs must have length {plan.dim}")
@@ -328,6 +328,7 @@ def imn_draws(
     `Generator.multinomial` draws row by row (nothing for one class), neither
     the counts nor the generator's final state depend on the block size.
     """
+    import numpy as np
     mu = _check_mu(tuple(float(v) for v in mu))
     rng = np.random.default_rng(seed)
     tracked = float(sum(mu))
@@ -349,6 +350,7 @@ def simulate_imn_counts(
     deterministic in (seed, n_replicates).  The bench tallies the same draws
     holding one int64 per replicate plus one block, not these (n, t) counts.
     """
+    import numpy as np
     totals, blocks = imn_draws(c, mu, n_replicates, seed)
     counts = np.empty((totals.size, len(mu)), dtype=np.int64)
     for rows, block in blocks:
@@ -456,6 +458,7 @@ def truncated_expectation(
     sample points to n floats (a constant broadcasts).  This is the reference
     lattice sum and certifies nothing: tail bounds and verdicts are verify's.
     """
+    import numpy as np
     mu = _check_mu(tuple(float(v) for v in mu))
     points = np.array(list(iter_counts(len(mu), max_total)), dtype=np.int64).reshape(-1, len(mu))
     masses = imn_pmf(points, c, mu)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable, unbiased_one_misclass_row
 # Not called since verify_one walks the one-pass row; perfbench/spans.py traces this name.
 from .estimators import unbiased_one_misclass  # noqa: F401
@@ -147,6 +145,7 @@ def verify_two(
     the other two), so the sums run over 1-d/2-d collapses of the count lattice,
     reading the shipped UB_TWO_PERFECT estimator at one sample per collapsed point.
     """
+    import numpy as np
     if not model.is_perfect_test:
         raise ModelError("verify_two covers perfect tests; the model carries misclassification")
     tol = 1e-8 if tol is None else tol

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gtseq
 from gtseq import bench, plans
 from gtseq.bench import CSV_HEADER, EstimateRecord, render_records, run_mode, tally
 from gtseq.cli import main
@@ -26,6 +28,7 @@ from gtseq.config import parse_config, resolve_estimators
 from gtseq.errors import DomainError
 from gtseq.estimators import evaluate_table
 from gtseq.plans import simulate_imn_counts
+from test_estimators import SHIPPED_SCAN_SHA256
 
 BENCH_CFG = """\
 [run]
@@ -386,6 +389,20 @@ class TestPointMemory:
         finally:
             tracemalloc.stop()
         assert int(weights.sum()) == 1_000_000 and peak < 12 * 2**20, peak
+
+    def test_heaviest_point_at_a_million_replicates_allocates_under_14_mib(self):
+        # The sorted key buffer, one int64 per replicate, stayed alive while its 262,608
+        # distinct keys were decoded: 18.6 MiB here.  It is now freed first: 12.6 MiB.
+        path = Path(__file__).resolve().parent.parent / "configs" / "bench_two_default.cfg"
+        cfg = parse_config(path.read_text(encoding="utf-8"), {"replicates": "1000000"})
+        point = next(p for p in cfg.points if (p.p, p.k, p.c) == ((0.1, 0.1, 0.05), 10, 20))
+        tracemalloc.start()
+        try:
+            samples, weights = bench._draw_tally(point, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(weights.sum()) == 1_000_000 and peak < 14 * 2**20, peak
 
 
 class TestTallyPaths:
@@ -805,6 +822,97 @@ def test_shipped_config_bytes(name):
     records, _ = run_mode(cfg)
     text = render_records(records, cfg.format)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHIPPED_CSV_SHA256[name]
+
+
+# Runs `gtseq` with numpy unimportable: any `import numpy` raises ImportError.
+NO_NUMPY_MAIN = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from gtseq.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+ESTIMATE_ONE_CFG = """\
+[run]
+mode = estimate
+seed = 1
+
+[model]
+p = 0.05
+k = 2, 5
+c = 1, 3
+misclass = 1:1, 0.98:0.95, 1:0.9
+estimators = UB_ONE_MISCLASS, UB_ONE_PERFECT
+y = 0, 1, 7, 40
+"""
+
+ESTIMATE_TWO_CFG = """\
+[run]
+mode = estimate
+seed = 1
+
+[model]
+family = two
+p = 0.1:0.1:0.05
+k = 2, 5
+c = 1, 4
+misclass = 1:1:1:1, 0.98:0.95:0.97:0.9
+estimators = UB_TWO_MISCLASS_SERIES, UB_TWO_PERFECT
+z = 0:0:0, 1:1:0, 3:0:2, 12:5:1
+"""
+
+
+class TestWithoutNumpy:
+    """identify, scan-properness and estimate of the unbiased estimators never import numpy."""
+
+    @staticmethod
+    def run_blocked(*args):
+        return subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_MAIN, *args], capture_output=True, timeout=300
+        )
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [("identify_grid", "identify"), ("scan_improper", "scan-properness"),
+         ("scan_two_misclass", "scan-properness"), ("scan_two_perfect", "scan-properness")],
+    )
+    def test_shipped_exact_configs_print_their_pinned_bytes(self, name, mode):
+        cfg = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"
+        proc = self.run_blocked(mode, "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr.decode()
+        digest = {**SHIPPED_CSV_SHA256, **SHIPPED_SCAN_SHA256}[name]
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+    @pytest.mark.parametrize("text", [ESTIMATE_ONE_CFG, ESTIMATE_TWO_CFG], ids=["one", "two"])
+    def test_estimate_of_the_unbiased_estimators(self, tmp_path, text):
+        proc = self.run_blocked("estimate", "--config", write_cfg(tmp_path, text))
+        assert proc.returncode == 0, proc.stderr.decode()
+        records, ok = run_mode(parse_config(text))
+        assert ok and proc.stdout == render_records(records, "csv").encode("utf-8")
+
+    def test_package_exports_the_same_names(self):
+        names = "sorted(n for n, v in vars(gtseq).items() if n[0] != '_' and not inspect.ismodule(v))"
+        code = f"import inspect, sys; sys.modules['numpy'] = None; import gtseq; print(*{names})"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        want = sorted(n for n, v in vars(gtseq).items() if n[0] != "_" and not inspect.ismodule(v))
+        assert len(want) == 60 and proc.stdout.split() == want
+
+    def test_bench_workers_import_numpy_first(self, tmp_path):
+        # Starting the CLI loads no numpy, so a threaded bench first imports it in its workers.
+        path = Path(__file__).resolve().parent.parent / "configs" / "bench_two_default.cfg"
+        text = path.read_text(encoding="utf-8").replace("replicates = 100000", "replicates = 3000")
+        assert parse_config(text).replicates == 3000
+        cfg = write_cfg(tmp_path, text)
+        code = ("import sys; from gtseq.cli import main; assert 'numpy' not in sys.modules; "
+                "sys.exit(main(sys.argv[1:]))")
+        outputs = []
+        for threads in ("2", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "bench", "--config", cfg, "--threads", threads],
+                capture_output=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 1 + 27 * 2 * 4
 
 
 @pytest.mark.parametrize("flag", ["--replicates", "--seed"])

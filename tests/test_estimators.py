@@ -69,6 +69,13 @@ from gtseq.series import (
 )
 from gtseq.verify import verify_one
 
+# sha256 of render_records(records, "csv") for the two shipped two-trait scan configs; each
+# equals sha256sum of `gtseq scan-properness --config configs/<name>.cfg --out F`.
+SHIPPED_SCAN_SHA256 = {
+    "scan_two_misclass": "fab79fcaf7936c9f71e0afcb20d82c61e812951a32fc80bab4f41562d3447c66",
+    "scan_two_perfect": "b8d55fba8d8b1188f40ae49713efc86510483a09f0b94ffcd0c2b74acd67e92b",
+}
+
 
 class TestUnbiasedOne:
     def test_zero_positives_gives_zero(self):
@@ -758,9 +765,8 @@ class TestScanProperness:
         cfg = parse_config(path.read_text(encoding="utf-8"))
         records, _ = run_mode(cfg)
         text = render_records(records, cfg.format)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "fab79fcaf7936c9f71e0afcb20d82c61e812951a32fc80bab4f41562d3447c66"
-        )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == SHIPPED_SCAN_SHA256["scan_two_misclass"]
 
     def test_sensitivity_only_divergence_found(self):
         violations = scan_properness(
@@ -848,9 +854,8 @@ class TestScanProperness:
         assert ok and len(records) == 5268
         assert {r.estimator for r in records} == {"UB_TWO_PERFECT"}
         text = render_records(records, cfg.format)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-            "b8d55fba8d8b1188f40ae49713efc86510483a09f0b94ffcd0c2b74acd67e92b"
-        )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == SHIPPED_SCAN_SHA256["scan_two_perfect"]
 
 
 class TestEvaluate:
