@@ -263,6 +263,22 @@ def _one_misclass_radical(
     return sens, Scale(1, sens / (spec_ + sens - 1), Fraction(1, k))
 
 
+def _one_misclass_values(radical: Scale, exact: bool) -> Callable[[int, int], Number]:
+    """The estimate 1 - radical * a/den at a row entry (a, den), rounded at most once.
+
+    A radical folded to C gives (C.den den - C.num a)/(C.den den): a Fraction
+    when `exact`, else one correctly rounded int/int true division, with no
+    gcd.  Otherwise C = 1 and the value is the float 1 + (-a/den) B^(1/k).  A
+    float past the range raises OverflowError.
+    """
+    if not radical.is_rational:
+        r = float(radical)
+        return lambda a, den: 1.0 + (-a / den) * r
+    num, scale = radical.coeff.numerator, radical.coeff.denominator
+    quotient = Fraction if exact else operator.truediv
+    return lambda a, den: quotient(scale * den - num * a, scale * den)
+
+
 def unbiased_one_misclass_parts(
     y: int, c: int, k: int, specificity: Number, sensitivity: Number
 ) -> tuple[Fraction, Scale]:
@@ -289,12 +305,8 @@ def unbiased_one_misclass_row(
     if c < 1 or k < 1:
         raise ValueError("require c >= 1, k >= 1")
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
-    row = _one_misclass_row(c, k, sens)
-    if radical.is_rational:
-        return (1 - radical.coeff * Fraction(a, den) for a, den in row)
-    # int/int true division rounds correctly, so -a/den is float(-S(y)) without a gcd.
-    r = float(radical)
-    return (1.0 + (-a / den) * r for a, den in row)
+    value = _one_misclass_values(radical, exact=True)
+    return itertools.starmap(value, _one_misclass_row(c, k, sens))
 
 
 def unbiased_one_misclass(
@@ -666,14 +678,14 @@ def _one_trait_violations(
     C B^(1/k), C > 0, is the radical of :func:`_one_misclass_radical` and
     (a, den) the row of :func:`_one_misclass_row`.  With e = 1 if the radical
     folded (B = 1), else k: p_hat > 1 iff a < 0, and p_hat < 0 iff
-    (C.num a)^e B.num > (C.den den)^e B.den.  int/int true division rounds
-    correctly, so a reported value is 1 + float(radical * Fraction(-a, den));
-    a quotient past the float range is reported as math.inf with the sign of -a.
+    (C.num a)^e B.num > (C.den den)^e B.den.  A reported value is the float of
+    :func:`_one_misclass_values`, so `estimate` prints the same digits; one past
+    the float range is reported as math.inf with the sign of -a.
     """
     # Passed as given: _one_misclass_radical judges nu before it converts them.
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
     coeff, base, e = radical.coeff, radical.base, radical.exponent.denominator
-    root = float(base) ** float(radical.exponent)
+    value_at = _one_misclass_values(radical, exact=False)
     num_scale = coeff.numerator**e * base.numerator
     den_scale = coeff.denominator**e * base.denominator
     for y, (a, den) in zip(range(bound + 1), _one_misclass_row(c, k, sens)):
@@ -685,7 +697,7 @@ def _one_trait_violations(
             yield []
             continue
         try:
-            value = 1.0 + (-coeff.numerator * a) / (coeff.denominator * den) * root
+            value = value_at(a, den)
         except OverflowError:
             value = math.inf if a < 0 else -math.inf
         yield [PropernessViolation((y,), "p", value, kind)]

@@ -70,6 +70,7 @@ class StopCountPlan(SamplingPlan):
     dim: int
     count: int
     axis: int | None = None
+    finite = False
 
     def __post_init__(self):
         if self.dim < 2:
@@ -81,10 +82,6 @@ class StopCountPlan(SamplingPlan):
             raise PlanError(f"axis {axis} out of range for dim {self.dim}")
         object.__setattr__(self, "axis", axis)
 
-    @property
-    def finite(self) -> bool:  # type: ignore[override]
-        return False
-
     def hits_boundary(self, point: Point) -> bool:
         return point[self.axis] == self.count
 
@@ -95,16 +92,13 @@ class FixedTotalPlan(SamplingPlan):
 
     dim: int
     total: int
+    finite = True
 
     def __post_init__(self):
         if self.dim < 2:
             raise PlanError("plan dimension must be >= 2")
         if self.total < 1:
             raise PlanError("total must be >= 1")
-
-    @property
-    def finite(self) -> bool:  # type: ignore[override]
-        return True
 
     def hits_boundary(self, point: Point) -> bool:
         return sum(point) == self.total
@@ -120,6 +114,7 @@ class ExplicitPlan(SamplingPlan):
 
     dim: int
     points: frozenset[Point]
+    finite = True
 
     def __post_init__(self):
         if self.dim < 2:
@@ -131,10 +126,6 @@ class ExplicitPlan(SamplingPlan):
             if len(p) != self.dim or any(v < 0 for v in p):
                 raise PlanError(f"bad boundary point {p}")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def finite(self) -> bool:  # type: ignore[override]
-        return True
 
     def hits_boundary(self, point: Point) -> bool:
         return point in self.points
@@ -240,10 +231,6 @@ def imn_pmf_exact(x: Sequence[int], c: int, mu: Sequence[Number]) -> Fraction:
 
 def iter_counts(t: int, max_total: int) -> Iterator[Point]:
     """All tracked-count vectors with total <= max_total, lexicographic."""
-    if t == 1:
-        for y in range(max_total + 1):
-            yield (y,)
-        return
     for head in itertools.product(range(max_total + 1), repeat=t - 1):
         s = sum(head)
         if s <= max_total:
@@ -363,49 +350,57 @@ def simulate_imn_counts(
 # ---------------------------------------------------------------------------
 
 
+def _walk(
+    plan: SamplingPlan, depth: int | None = None, box: Point | None = None
+) -> tuple[dict[Point, int], dict[Point, int]]:
+    """Count admissible walks from the origin in exact ints, one total at a time.
+
+    Returns (stopped, live): how many walks stop at each boundary point they
+    reach, and how many still run at each point of total `depth`.  The
+    default depth is one past a finite plan's largest boundary total, where
+    a walk still running never stops.  With `box`, walks stay below it.
+    """
+    if depth is None:
+        depth = max(map(sum, plan.boundary_points())) + 1
+    limit = box or (depth,) * plan.dim
+    live = {(0,) * plan.dim: 1}
+    stopped: dict[Point, int] = {}
+    for total in range(depth + 1):
+        stopped.update((p, live.pop(p)) for p in [p for p in live if plan.hits_boundary(p)])
+        if total < depth:
+            step: dict[Point, int] = {}
+            for p, n in live.items():
+                for axis, v in enumerate(p):
+                    if v < limit[axis]:
+                        q = p[:axis] + (v + 1,) + p[axis + 1 :]
+                        step[q] = step.get(q, 0) + n
+            live = step
+    return stopped, live
+
+
 def path_count(plan: SamplingPlan, point: Point) -> int:
     """Number of admissible walks from the origin that stop exactly at `point`.
 
-    Dynamic programming over the box below the point in exact integers; a
-    walk is admissible when no proper prefix hits the boundary.
+    Counted by :func:`_walk`, confined to the box below the point; a walk is
+    admissible when no proper prefix hits the boundary.
     """
     point = plan._check_point(point)
     if not plan.hits_boundary(point):
         raise PlanError(f"{point} is not a boundary point of the plan")
-    counts: dict[Point, int] = {}
-    for q in itertools.product(*(range(v + 1) for v in point)):
-        if q == (0,) * plan.dim:
-            counts[q] = 0 if plan.hits_boundary(q) and q != point else 1
-            continue
-        total = 0
-        for axis in range(plan.dim):
-            if q[axis] == 0:
-                continue
-            prev = q[:axis] + (q[axis] - 1,) + q[axis + 1 :]
-            if plan.hits_boundary(prev):
-                continue
-            total += counts[prev]
-        counts[q] = total
-    return counts[point]
+    return _walk(plan, sum(point), point)[0].get(point, 0)
 
 
-def check_closed(plan: SamplingPlan) -> None:
-    """Raise PlanError unless every walk from the origin stops on the finite boundary.
+def boundary_weights(plan: SamplingPlan) -> dict[Point, int]:
+    """Path count of every boundary point of a finite plan, sorted, from one walk.
 
-    A walk still running at total D + 1, D the largest boundary total, never
-    stops, so walking the non-boundary points level by level up to D + 1 decides.
+    A shadowed point weighs 0.  An open plan, where some walk never stops,
+    raises PlanError.
     """
-    depth = max(map(sum, plan.boundary_points())) + 1
-    live = {(0,) * plan.dim}
-    for _ in range(depth):
-        live = {
-            p[:axis] + (p[axis] + 1,) + p[axis + 1 :]
-            for p in live
-            if not plan.hits_boundary(p)
-            for axis in range(plan.dim)
-        }
+    stopped, live = _walk(plan)
     if live:
-        raise PlanError(f"plan is open: walks reach {min(live)} at total {depth} without stopping")
+        p = min(live)
+        raise PlanError(f"plan is open: walks reach {p} at total {sum(p)} without stopping")
+    return {b: stopped.get(b, 0) for b in sorted(plan.boundary_points())}
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +484,8 @@ def axis_boundary_check(plan: SamplingPlan) -> AxisCheckResult:
     if plan.dim != 2:
         raise PlanError("axis check is defined for 2-dimensional plans")
     if isinstance(plan, StopCountPlan):
-        count = 1 if plan.axis == 1 else 0
-    elif isinstance(plan, FixedTotalPlan):
-        count = 1
-    elif isinstance(plan, ExplicitPlan):
-        # Only the lowest axis point is reachable; higher ones are shadowed.
-        count = 1 if any(p[0] == 0 for p in plan.points) else 0
-        try:
-            check_closed(plan)
-        except PlanError:
-            return AxisCheckResult(count, False)
-    else:
-        raise PlanError(f"unsupported plan type {type(plan).__name__}")
-    return AxisCheckResult(count, count == 1)
+        return AxisCheckResult(int(plan.axis == 1), plan.axis == 1)
+    # A finite plan: only the lowest axis point is reached, the higher ones are shadowed.
+    stopped, live = _walk(plan)
+    count = sum(1 for x, _ in stopped if x == 0)
+    return AxisCheckResult(count, count == 1 and not live)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import DomainError, InsufficientOrderError, PlanError
 from .model import positive_nu, two_disease_radicand_forms
 from .numerics import ONE, Number, Scale, as_fraction
-from .plans import Point, SamplingPlan, check_closed, iter_counts, path_count
+from .plans import Point, SamplingPlan, boundary_weights, iter_counts
 
 MultiIndex = tuple[int, ...]
 
@@ -369,18 +369,19 @@ class Representability:
 def poly_representability(plan: SamplingPlan, target: AffinePowerSpec) -> Representability:
     """Decide exactly whether some estimator under a finite 2-d plan is unbiased for `target`.
 
-    E_theta f = sum_b f(b) w_b theta^x (1-theta)^y (w_b = path_count) has degree
-    <= D, the largest boundary total, so a nonzero theta^(D+1) coefficient of
-    the target certifies that no unbiased estimator exists.  Otherwise the
-    target is a polynomial, and Gauss-Jordan elimination on monomial
-    coefficients solves for f (free values set to 0) or finds the target
-    outside the span.  An open plan (some walk never stops) raises PlanError,
-    and an irrational constant target raises ValueError.
+    E_theta f = sum_b f(b) w_b theta^x (1-theta)^y, every w_b from one
+    :func:`boundary_weights` walk, has degree <= D, the largest boundary total,
+    so a nonzero theta^(D+1) coefficient of the target certifies that no
+    unbiased estimator exists.  Otherwise the target is a polynomial, and
+    Gauss-Jordan elimination on monomial coefficients solves for f (free
+    values set to 0) or finds the target outside the span.  An open plan
+    (some walk never stops) raises PlanError, and an irrational constant
+    target raises ValueError.
     """
     if not plan.finite or plan.dim != 2 or len(target.linear) != 1:
         raise PlanError("representability is decided for finite 2-d plans and one-variable targets")
-    check_closed(plan)
-    boundary = sorted(plan.boundary_points())
+    weights = boundary_weights(plan)
+    boundary = list(weights)
     n, degree = len(boundary), max(map(sum, boundary))
     expansion = expand_affine_power(target, degree + 1)
     certificate = expansion.series.coeff((degree + 1,))
@@ -388,8 +389,7 @@ def poly_representability(plan: SamplingPlan, target: AffinePowerSpec) -> Repres
     # (left at 0 when the certificate has decided already).
     scale = expansion.scale.as_fraction() if certificate == 0 else 0
     rows = [[Fraction(0)] * n + [scale * expansion.series.coeff((d,))] for d in range(degree + 1)]
-    for j, (x, y) in enumerate(boundary):
-        weight = path_count(plan, (x, y))
+    for j, ((x, y), weight) in enumerate(weights.items()):
         for i in range(y + 1):
             rows[x + i][j] = Fraction((-1) ** i * weight * math.comb(y, i))
     pivots: list[int] = []

@@ -809,7 +809,7 @@ SHIPPED_CSV_SHA256 = {
     "bench_default": "075a82c09ca225902471c247fa568df1d66fab082415ebf9520b0b70b777a28f",
     "verify_default": "a9f383735a214e33097c235d9dc3d9929acb0749f92e5456763f1f2ac424f917",
     "verify_two_default": "0218ac48b5e82345fb57169fc7f5d178a83c63baade43e2cf670f60b9e66f990",
-    "scan_improper": "bd38149f6aa39f6705848e0cae66778d50079994e7e9f3e69243ed90bd2229f5",
+    "scan_improper": "45cca9926aa6bc057218c47ef7611a6a1c7d582e77a6ee60fbeb3a9c7f327475",
     "identify_grid": "ccc8ed53923eb308ccdd010cf75dbe27cb721b1f091676b2d4223bdeb032fd94",
 }
 

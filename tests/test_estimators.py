@@ -663,7 +663,8 @@ class TestScanProperness:
         oracle = []
         for y, (a, den) in zip(range(201), _one_misclass_row(c, k, sens_)):
             term = radical * F(-a, den)
-            value = 1.0 + float(term)
+            # A folded radical's estimate is rational: rounded once, as `estimate` prints it.
+            value = float(1 + term.coeff) if term.is_rational else 1.0 + float(term)
             if term.coeff > 0:
                 oracle.append(((y,), ViolationKind.ABOVE_ONE, value.hex()))
             elif (-term.coeff) ** k * term.base > 1:
@@ -677,7 +678,7 @@ class TestScanProperness:
     def test_one_trait_scan_past_the_float_range(self):
         # Past y = 522 the estimate's quotient leaves the float range: the scan raised
         # OverflowError.  The oracle is the exact rational estimate; its reported value
-        # is 1 + the rounded quotient, or inf of its sign past the float range.
+        # is that estimate rounded once, or inf of its sign past the float range.
         got = scan_properness(
             EstimatorId.UB_ONE_MISCLASS, 2, 4, specificity=1.0, sensitivity=0.25, bound=600
         )
@@ -688,7 +689,7 @@ class TestScanProperness:
             term = radical.coeff * F(-a, den)
             exact = 1 + term
             try:
-                value = 1.0 + float(term)
+                value = float(1 + term)
             except OverflowError:
                 value = math.inf if term > 0 else -math.inf
             if not 0 <= exact <= 1:
@@ -856,6 +857,79 @@ class TestScanProperness:
         text = render_records(records, cfg.format)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == SHIPPED_SCAN_SHA256["scan_two_perfect"]
+
+
+class TestOneValuePerSample:
+    """evaluate, scan_properness and evaluate_table on shared samples print one value each.
+
+    The kernels that round an exact value once agree bit for bit.  The perfect-test
+    tables multiply floats, so they are held to the per-component ulp bounds measured
+    when this test was written: a change may tighten a bound but not widen it.
+    """
+
+    @staticmethod
+    def hexes(values):
+        return [float(v).hex() for v in values]
+
+    @classmethod
+    def agree_with_scan(cls, found, exact):
+        """Each two-trait violation reports its exact component, or leading sum, rounded once."""
+        want = [
+            exact[v.sample][TWO_COMPONENTS.index(v.component)] if v.component in TWO_COMPONENTS
+            else sum(exact[v.sample][:3])
+            for v in found
+        ]
+        return found and [v.value.hex() for v in found] == cls.hexes(want)
+
+    @pytest.mark.parametrize(
+        "spec, sens", [(1.0, 0.9), (0.98, 0.95)], ids=["folded-1:0.9", "0.98:0.95"]
+    )
+    @pytest.mark.parametrize("c, k", [(1, 2), (3, 5)])
+    def test_one_trait_misclass_agrees_bitwise(self, spec, sens, c, k):
+        # At 1:0.9, k = 2, c = 1 the scan once printed y = 18 as 1.2561990004826562, `estimate`
+        # as 1.256199000482656: the folded radical's value was rounded twice.
+        est, kw, bound = EstimatorId.UB_ONE_MISCLASS, dict(specificity=spec, sensitivity=sens), 60
+        single = self.hexes(evaluate(est, (y,), c, k, **kw)[0][0] for y in range(bound + 1))
+        table, _ = evaluate_table(est, np.arange(bound + 1)[:, None], c, k, **kw)
+        assert self.hexes(table[:, 0].tolist()) == single
+        found = scan_properness(est, c, k, bound=bound, **kw)
+        assert found and [v.value.hex() for v in found] == [single[v.sample[0]] for v in found]
+
+    @pytest.mark.parametrize(
+        "misclass", [MisclassModel.identity(), DECIMAL_ERRORS],
+        ids=["identity", "0.98:0.95:0.97:0.9"],
+    )
+    def test_two_trait_series_agrees_bitwise(self, misclass):
+        est, c, k, bound = EstimatorId.UB_TWO_MISCLASS_SERIES, 1, 2, 12
+        points = list(iter_counts(3, bound))
+        exact = {z: evaluate(est, z, c, k, misclass=misclass)[0] for z in points}
+        table, _ = evaluate_table(est, np.array(points), c, k, misclass=misclass)
+        assert [self.hexes(row) for row in table.tolist()] == [self.hexes(exact[z]) for z in points]
+        found = scan_properness(est, c, k, misclass=misclass, bound=bound)
+        assert self.agree_with_scan(found, exact)
+
+    def test_perfect_tables_within_measured_ulps(self):
+        def ulps(table, exact):
+            return max(abs(v - float(e)) / math.ulp(float(e)) for v, e in zip(table, exact))
+
+        ys = np.arange(401)[:, None]
+        for c, k in [(1, 1), (1, 2), (3, 5), (20, 10)]:
+            table, _ = evaluate_table(EstimatorId.UB_ONE_PERFECT, ys, c, k)
+            exact = [unbiased_one(y, c, k) for y in range(401)]
+            assert ulps(table[:, 0].tolist(), exact) <= 62, (c, k)  # 62 at c = 20, k = 10
+        points = list(iter_counts(3, 24))
+        # Measured worst over these designs: p00 2, p10 and p01 29, and p11 27,914 ulps,
+        # where 1 - v00 - v10 - v01 cancels.
+        bounds = (2, 29, 29, 27_914)
+        for c, k in [(1, 2), (4, 5), (2, 10)]:
+            table, _ = evaluate_table(EstimatorId.UB_TWO_PERFECT, np.array(points), c, k)
+            exact = {z: unbiased_two(z, c, k) for z in points}
+            for j, bound in enumerate(bounds):
+                column = [e[j] for e in exact.values()]
+                assert ulps(table[:, j].tolist(), column) <= bound, (c, k, j)
+            # The scanner reads the same exact values and rounds each once.
+            found = scan_properness(EstimatorId.UB_TWO_PERFECT, c, k, bound=24)
+            assert self.agree_with_scan(found, exact)
 
 
 class TestEvaluate:

@@ -15,6 +15,7 @@ from gtseq.plans import (
     FixedTotalPlan,
     StopCountPlan,
     axis_boundary_check,
+    boundary_weights,
     imn_draws,
     imn_plan,
     imn_pmf,
@@ -155,6 +156,44 @@ class TestPathCount:
     def test_non_boundary_rejected(self):
         with pytest.raises(PlanError):
             path_count(imn_plan(1, 2), (3, 1))
+
+
+class TestBoundaryWeights:
+    @pytest.mark.parametrize("dim, total, size", [(3, 5, 21), (4, 6, 84)])
+    def test_fixed_total_weights_are_path_counts(self, dim, total, size):
+        plan = FixedTotalPlan(dim, total)
+        weights = boundary_weights(plan)
+        assert list(weights) == sorted(plan.boundary_points()) and len(weights) == size
+        for point, weight in weights.items():
+            assert weight == path_count(plan, point) == math.factorial(total) // math.prod(
+                map(math.factorial, point)
+            ), point
+
+    def test_shadowed_point_weighs_zero(self):
+        plan = ExplicitPlan(2, frozenset({(1, 0), (0, 1), (0, 3)}))
+        assert boundary_weights(plan) == {(0, 1): 1, (0, 3): 0, (1, 0): 1}
+
+    def test_open_three_dim_plan_raises(self):
+        # Walks that step on the second axis and then the first never stop.
+        plan = ExplicitPlan(3, frozenset({(1, 0, 0), (0, 0, 1), (0, 2, 0), (0, 1, 1)}))
+        with pytest.raises(PlanError, match=r"open: walks reach \(1, 1, 1\) at total 3"):
+            boundary_weights(plan)
+
+    def test_infinite_plan_raises(self):
+        with pytest.raises(PlanError):
+            boundary_weights(imn_plan(1, 2))
+
+    def test_path_count_stays_in_its_box(self):
+        asked = []
+
+        class Watched(StopCountPlan):
+            def hits_boundary(self, point):
+                asked.append(point)
+                return super().hits_boundary(point)
+
+        # imn_plan(2, 3) at a lopsided point: no walk to it takes a second-class step.
+        assert path_count(Watched(3, 3), (6, 0, 3)) == math.comb(8, 2)
+        assert asked and all(q[0] <= 6 and q[1] == 0 and q[2] <= 3 for q in asked)
 
 
 class TestSimulate:
