@@ -54,19 +54,26 @@ from .plans import (
     simulate_imn_counts,
     truncated_expectation,
 )
-from .series import (
-    AffinePowerSpec,
-    ScaledSeries,
-    TruncatedSeries,
-    estimator_series_one,
-    estimator_series_two,
-    expand_affine_power,
-    poly_representability,
-    series_mul,
-    unbiased_exact,
-    unbiased_from_series,
-    unbiased_parts,
-)
 from .verify import VerifyRow, verify_one, verify_two
 
 __version__ = "0.1.0"
+
+# The exports of gtseq.series, the paper's construction, which no CLI mode runs: looking
+# one up loads it (PEP 562), so `import gtseq` does not.
+_SERIES_NAMES = (
+    "AffinePowerSpec", "ScaledSeries", "TruncatedSeries", "estimator_series_one",
+    "estimator_series_two", "expand_affine_power", "poly_representability", "series_mul",
+    "unbiased_exact", "unbiased_from_series", "unbiased_parts",
+)
+
+
+def __getattr__(name: str):
+    if name in _SERIES_NAMES:
+        from . import series
+
+        return getattr(series, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SERIES_NAMES})

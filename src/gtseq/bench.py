@@ -9,18 +9,18 @@ GIL-bound Python and run serially unless it is.  A failing point stops the
 points after it from starting, and the first failure in grid order is raised;
 a point that runs out of memory raises a GtseqError that names it.
 Monte Carlo summaries are sums over distinct samples weighted by their counts.
+numpy, the thread pool and json are imported where a run first uses them, so
+the exact modes start without them; JSON lines write a NaN or infinity as null.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from .config import ExperimentConfig, GridPoint, resolve_estimators
@@ -84,7 +84,13 @@ class EstimateRecord:
         return [fmt(getattr(self, name)) for name in CSV_HEADER]
 
     def as_json_obj(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_HEADER}
+        """The fields by name; JSON has no NaN or infinity, so a non-finite float is None."""
+
+        def value(name: str):
+            v = getattr(self, name)
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+
+        return {name: value(name) for name in CSV_HEADER}
 
 
 CSV_HEADER = [f.name for f in fields(EstimateRecord)]
@@ -93,7 +99,8 @@ CSV_HEADER = [f.name for f in fields(EstimateRecord)]
 def write_records(records, fmt: str, path: str | None) -> None:
     """Write CSV (fixed header) or JSON lines with identical field names.
 
-    Floats are rendered with 17 significant digits, so values round-trip.
+    Floats are rendered with 17 significant digits, so values round-trip.  CSV
+    writes a NaN or infinite float as nan or inf, JSON lines as null.
     """
     text = render_records(records, fmt)
     if path is None or path == "-":
@@ -112,7 +119,8 @@ def render_records(records, fmt: str) -> str:
             writer.writerow(record.as_row())
         return buf.getvalue()
     if fmt == "jsonl":
-        return "".join(json.dumps(r.as_json_obj(), sort_keys=False) + "\n" for r in records)
+        import json
+        return "".join(json.dumps(r.as_json_obj(), allow_nan=False) + "\n" for r in records)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -418,6 +426,7 @@ def run_mode(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
     if threads > 1:
         # map yields in grid order: every point before the first failure runs, that
         # failure is raised, and the points still queued are cancelled.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(run, range(len(points))))
     else:

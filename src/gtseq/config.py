@@ -211,6 +211,13 @@ def _one_of(choices: tuple[str, ...], message: str):
     return rule
 
 
+def _parse_out(value: str, lineno: int | None, key: str) -> str:
+    # An empty path would fail to open only after every grid point had run.
+    if not value:
+        raise ConfigError(f"{key} must name a file or '-' (stdout), got an empty value", lineno)
+    return value
+
+
 def _parse_tol(value: str, lineno: int | None, key: str) -> float:
     tol = _parse_float(value, lineno, key)
     # Also rejects nan; a tol of 1 or more passes every verify row vacuously.
@@ -227,7 +234,7 @@ RUN_RULES = {
     "seed": _at_least(0),
     "replicates": _at_least(0),
     "format": _one_of(FORMATS, "{key} must be csv or jsonl, got {value!r}"),
-    "out": lambda value, lineno, key: value,
+    "out": _parse_out,
     "threads": _at_least(1),
     "tol": _parse_tol,
     "bound": _at_least(0),

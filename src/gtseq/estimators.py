@@ -44,8 +44,18 @@ from .model import MisclassModel, positive_nu, two_disease_radicand_forms
 from .model import invert_cell_probs  # noqa: F401
 from .numerics import Number, Scale, as_fraction
 from .plans import iter_counts
-# Not called since the coefficient kernel replaced them; perfbench/spans.py traces these names.
-from .series import estimator_series_two, unbiased_exact, unbiased_from_series  # noqa: F401
+
+# Not called since the coefficient kernel replaced them; perfbench/spans.py traces these
+# names.  Looking one up loads gtseq.series, which no mode runs (PEP 562).
+_SERIES_NAMES = ("estimator_series_two", "unbiased_exact", "unbiased_from_series")
+
+
+def __getattr__(name: str):
+    if name in _SERIES_NAMES:
+        from . import series
+
+        return getattr(series, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class EstimatorId(enum.Enum):

@@ -1,5 +1,6 @@
 """Bench harness and CLI: records, formats, determinism, exit codes."""
 
+import concurrent.futures
 import csv
 import hashlib
 import inspect
@@ -14,14 +15,13 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gtseq
-from gtseq import bench, plans
+from gtseq import bench, cli, plans
 from gtseq.bench import CSV_HEADER, EstimateRecord, render_records, run_mode, tally
 from gtseq.cli import main
 from gtseq.config import parse_config, resolve_estimators
@@ -146,6 +146,24 @@ class TestRecords:
                 else:
                     assert cval == str(jval)
 
+    @pytest.mark.filterwarnings("ignore:misclassification parameter <= 0.5")  # the scan's 1:0.25
+    def test_jsonl_writes_non_finite_values_as_null(self):
+        # A one-replicate bench point has se = nan, and a scan past the float range reports
+        # inf.  JSONL wrote NaN and Infinity, which are not JSON; CSV keeps nan and inf.
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        bench_text = BENCH_CFG.replace("replicates = 4000", "replicates = 1")
+        scan_text = ("[run]\nmode = scan-properness\nbound = 530\n"
+                     "[model]\np = 0.1\nk = 4\nc = 2\nmisclass = 1:0.25\nestimators = ub\n")
+        for text, key, word in ((bench_text, "se", "nan"), (scan_text, "estimate", "inf")):
+            records, _ = run_mode(parse_config(text))
+            csv_rows = list(csv.DictReader(io.StringIO(render_records(records, "csv"))))
+            lines = render_records(records, "jsonl").splitlines()
+            json_rows = [json.loads(line, parse_constant=reject) for line in lines]
+            nulls = [row[key] is None for row in json_rows]
+            assert nulls == [row[key] == word for row in csv_rows] and any(nulls)
+
 
 class TestBench:
     def test_deterministic_given_seed(self):
@@ -229,12 +247,13 @@ class TestDefaultThreads:
         monkeypatch.setattr(bench, "_available_cpus", lambda: cpus, raising=False)
         sizes = []
 
-        class Recording(ThreadPoolExecutor):
+        class Recording(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None, *args, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, *args, **kwargs)
 
-        monkeypatch.setattr(bench, "ThreadPoolExecutor", Recording)
+        # run_mode imports the pool class when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         return sizes
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (8, [4]), (1, [])])
@@ -602,6 +621,24 @@ class TestCli:
     def test_missing_config_is_io_error(self):
         assert main(["bench", "--config", "/nonexistent/exp.cfg"]) == 2
 
+    @pytest.mark.parametrize(
+        "run_line, flags, message",
+        [("out =", [], "line 5: out must name a file or '-' (stdout), got an empty value"),
+         ("", ["--out", ""], "--out must name a file or '-' (stdout), got an empty value")],
+        ids=["line", "flag"],
+    )
+    def test_empty_out_is_a_validation_error_before_any_point_runs(
+        self, tmp_path, monkeypatch, capsys, run_line, flags, message
+    ):
+        # An empty path passed parsing, every grid point ran, and the write then failed
+        # with exit 2.
+        calls = []
+        monkeypatch.setattr(cli, "run_mode", lambda config: calls.append(config) or ([], True))
+        text = BENCH_CFG.replace("replicates = 4000", f"replicates = 4000\n{run_line}")
+        assert main(["bench", "--config", write_cfg(tmp_path, text), *flags]) == 1
+        assert capsys.readouterr().err == f"gtseq: config error: {message}\n"
+        assert calls == []
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         cfg = write_cfg(tmp_path, BENCH_CFG)
         assert main(["bench", "--config", cfg, "--out", "/nonexistent-dir/o.csv"]) == 2
@@ -889,12 +926,35 @@ class TestWithoutNumpy:
         assert ok and proc.stdout == render_records(records, "csv").encode("utf-8")
 
     def test_package_exports_the_same_names(self):
-        names = "sorted(n for n, v in vars(gtseq).items() if n[0] != '_' and not inspect.ismodule(v))"
+        # dir, not vars: the gtseq.series exports are looked up on first use.
+        names = "sorted(n for n in dir(gtseq) if n[0] != '_' and not inspect.ismodule(getattr(gtseq, n)))"
         code = f"import inspect, sys; sys.modules['numpy'] = None; import gtseq; print(*{names})"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        want = sorted(n for n, v in vars(gtseq).items() if n[0] != "_" and not inspect.ismodule(v))
+        want = sorted(n for n in dir(gtseq) if n[0] != "_" and not inspect.ismodule(getattr(gtseq, n)))
         assert len(want) == 60 and proc.stdout.split() == want
+
+    def test_cli_start_loads_no_pool_json_or_series(self):
+        # The exact modes run none of them; each loads where a run or a lookup first needs it.
+        code = "\n".join([
+            "import sys, gtseq.cli",
+            "loaded = [m for m in ('concurrent.futures', 'json', 'gtseq.series') if m in sys.modules]",
+            "assert not loaded, loaded",
+            "import gtseq",
+            "from gtseq.estimators import unbiased_exact",
+            "series = sys.modules['gtseq.series']",
+            "assert gtseq.poly_representability is series.poly_representability",
+            "assert unbiased_exact is series.unbiased_exact",
+            "for module in (gtseq, gtseq.estimators):",
+            "    try:",
+            "        module.no_such_name",
+            "    except AttributeError as exc:",
+            "        assert 'no_such_name' in str(exc)",
+            "    else:",
+            "        raise AssertionError(module)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_bench_workers_import_numpy_first(self, tmp_path):
         # Starting the CLI loads no numpy, so a threaded bench first imports it in its workers.
