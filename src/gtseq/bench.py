@@ -42,6 +42,7 @@ from .model import (
     observed_pos_prob,
     pool_cell_probs,
 )
+from .numerics import float_quotient
 from .plans import imn_draws, simulate_imn_counts
 from .verify import verify_one, verify_two
 
@@ -298,7 +299,8 @@ def _estimate_point(point: GridPoint, config: ExperimentConfig) -> list[Estimate
             label = ":".join(str(v) for v in sample)
             values, clamped = evaluate(est, sample, point.c, point.k, **params)
             for name, value in zip(_components(point), values):
-                value = float(value)
+                if not isinstance(value, float):  # exact: rounded once, inf of its sign past the range
+                    value = float_quotient(*value.as_integer_ratio())
                 flags = _flags(improper=int(not 0 <= value <= 1), clamped=int(clamped))
                 records.append(
                     _base_record(point, est.value, name, sample=label, estimate=value, flags=flags)

@@ -33,22 +33,23 @@ _MODE_HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    width = max(map(len, MODES))
     parser = argparse.ArgumentParser(
         prog="gtseq",
         description="Prevalence estimation for pooled testing under sequential sampling plans.",
+        epilog="modes:\n" + "\n".join(f"  {mode:<{width}}  {_MODE_HELP[mode]}" for mode in MODES),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="mode", required=True, metavar="mode")
-    for mode in MODES:
-        mode_parser = sub.add_parser(mode, help=_MODE_HELP[mode])
-        mode_parser.add_argument("--config", required=True, help="experiment config file")
-        mode_parser.add_argument("--out", default=None, help="output path (default: stdout)")
-        mode_parser.add_argument("--format", metavar="|".join(FORMATS), default=None)
-        mode_parser.add_argument("--seed", default=None, help="override config seed")
-        mode_parser.add_argument(
-            "--threads", default=None,
-            help="worker threads over grid points (fallback: GTSEQ_THREADS; "
-            "default: available CPUs in bench, 1 elsewhere)",
-        )
+    parser.add_argument("mode", choices=MODES, metavar="mode", help="one of the modes below")
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--format", metavar="|".join(FORMATS), default=None)
+    parser.add_argument("--seed", default=None, help="override config seed")
+    parser.add_argument(
+        "--threads", default=None,
+        help="worker threads over grid points (fallback: GTSEQ_THREADS; "
+        "default: available CPUs in bench, 1 elsewhere)",
+    )
     return parser
 
 

@@ -12,11 +12,15 @@ removable 0/0 at k = 1, c = 1) and evaluate exactly over rationals.
 The misclassified estimators need one Taylor coefficient per sample point.
 For two traits it is read in integer arithmetic from the polynomial
 prod_j (1 + p_j s)^(z_j) against prefix rows that do not depend on the
-sample (:class:`_SeriesRows`): the three components' values share one
-denominator, so the radical merge adds integer numerators and divides once
-per output float.  Every two-trait value comes from :func:`_two_misclass_walk`,
-which steps the polynomials between lexicographically ascending points over
-one set of rows, one factor per point of the scanner's lattice.  For one
+sample (:class:`_SeriesRows`): each component's value is an integer
+numerator over the denominator of its radical group, the components that
+the radical merge adds, so the merge adds integer numerators and divides
+once per output float.  Every two-trait value comes from
+:func:`_two_misclass_walk` over lexicographically ascending points.  A
+component whose nonzero slopes are all equal depends on a point only
+through its total and one count, and reads its numerator from a dict keyed
+by that pair; any other steps its polynomials between points, one factor
+per point of the scanner's lattice.  For one
 trait the coefficients obey a three-term recurrence, so
 :func:`_one_misclass_row` yields every y = 0, 1, 2, ... in one integer pass
 (:func:`unbiased_one_misclass_row`), which bench, verify and the scanner
@@ -32,7 +36,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -42,7 +45,7 @@ from .errors import DomainError
 from .model import MisclassModel, positive_nu, two_disease_radicand_forms
 # Not called since mle_two_table inverts every sample at once; perfbench/spans.py traces this name.
 from .model import invert_cell_probs  # noqa: F401
-from .numerics import Number, Scale, as_fraction
+from .numerics import Number, Scale, as_fraction, float_quotient
 from .plans import iter_counts
 
 # Not called since the coefficient kernel replaced them; perfbench/spans.py traces these
@@ -94,12 +97,8 @@ class PropernessViolation:
     kind: ViolationKind
 
     def __post_init__(self):
-        ok = {
-            ViolationKind.BELOW_ZERO: self.value <= 0,
-            ViolationKind.ABOVE_ONE: self.value >= 1,
-            ViolationKind.SIMPLEX_SUM: self.value >= 1,
-        }[self.kind]
-        if not ok:
+        # A NaN value passes neither comparison, so it raises too.
+        if not (self.value <= 0 if self.kind is ViolationKind.BELOW_ZERO else self.value >= 1):
             raise ValueError(f"value {self.value} does not violate bound {self.kind.value}")
 
 
@@ -173,34 +172,41 @@ def _affine_power(p: tuple[int, ...], x: tuple[int, ...]) -> list[int]:
     return e
 
 
+def _binomial_powers(v: int, m: int) -> list[int]:
+    """The s^d coefficients C(m, d) v^d of (1 + v s)^m, d = 0, ..., m."""
+    e = [1]
+    for d in range(1, m + 1):
+        e.append(e[-1] * (m + 1 - d) * v // d)  # exact: d divides C(m, d - 1) (m + 1 - d)
+    return e
+
+
 class _SeriesRows:
-    """Integer rows that give series values N_i/D over one shared denominator D at any total n.
+    """Integer rows that give component i's series value as N_i/R_i[n] at any total n.
 
-    For slopes b_i = p_i/q_i with common multiple Q = lcm(q_i), the value
-    sum_d (1/k)_d (c)_(n-d) E_d / (q_i^d (c)_n) of a point whose polynomial
-    prod_j (1 + p_ij s)^(x_j) has coefficients E, n = |x|, is N_i/D with
+    For slopes b_i = p_i/q_i, the value sum_d (1/k)_d (c)_(n-d) E_d /
+    (q_i^d (c)_n) of a point whose polynomial prod_j (1 + p_ij s)^(x_j) has
+    coefficients E, n = |x|, is N_i/R_i[n] with
 
-        N_i = (Q/q_i)^n sum_d E_d F[d] R_i[n - d],    D = (c)_n (kQ)^n,
+        N_i = sum_d E_d F[d] R_i[n - d],    R_i[m] = (c)_m (k q_i)^m,
 
-    F[d] = prod_(j<d) (1 - jk) (so (1/k)_d = F[d]/k^d) and R_i[m] = (c)_m
-    (k q_i)^m.  None of the rows depends on n: each is a prefix row, extended
-    one integer step per total the first time a larger n is read, so memory
-    stays O(largest n) and no division happens here.
+    and F[d] = prod_(j<d) (1 - jk) (so (1/k)_d = F[d]/k^d).  Components given
+    the same q share one row R.  None of the rows depends on n: each is a
+    prefix row, extended one integer step per total the first time a larger
+    n is read, so memory stays O(largest n) and no division happens here.
     """
 
     def __init__(self, c: int, k: int, q: tuple[int, ...]):
-        big_q = math.lcm(*q)
-        self.c, self.k, self.k_big_q = c, k, k * big_q
+        self.c, self.k = c, k
+        shared = {v: [1] for v in q}
         self.kq = tuple(k * v for v in q)
-        self.ratio = tuple(big_q // v for v in q)
-        self.f, self.den = [1], [1]
-        self.r = [[1] for _ in q]
-        self.scale = [[1] for _ in q]
+        self.r = tuple(shared[v] for v in q)
+        self._steps = tuple((k * v, r) for v, r in shared.items())
+        self.f = [1]
 
-    def at(self, polys: list[list[int]], n: int) -> tuple[list[int], int]:
-        """([N_i for each component's coefficients E_i], D) at total n.
+    def numerator(self, i: int, e: list[int], n: int) -> int:
+        """N_i for component i's coefficients e at total n >= len(e) - 1; R_i[n] is self.r[i][n].
 
-        The sum over d runs by Horner's rule up to the top degree t = len(E) - 1:
+        The sum over d runs by Horner's rule up to the top degree t = len(e) - 1:
         R_i[n - d] = R_i[n - t] prod_(n-t <= m < n-d) k q_i (c + m), so each
         degree costs one small factor and one product E_d F[d], and R_i is
         read once.
@@ -209,19 +215,14 @@ class _SeriesRows:
         for m in range(len(self.f) - 1, n):
             rise = c + m
             self.f.append(self.f[m] * (1 - m * self.k))
-            self.den.append(self.den[m] * (self.k_big_q * rise))
-            for r, scale, kq, ratio in zip(self.r, self.scale, self.kq, self.ratio):
+            for kq, r in self._steps:
                 r.append(r[m] * (kq * rise))
-                scale.append(scale[m] * ratio)
-        f = self.f
-        numerators = []
-        for e, r, scale, kq in zip(polys, self.r, self.scale, self.kq):
-            acc = 0
-            # The step to degree d is k q_i (c + n - d) = R_i[n - d + 1]/R_i[n - d].
-            for a, f_d, step in zip(e, f, range(kq * (c + n), 0, -kq)):
-                acc = acc * step + a * f_d
-            numerators.append(acc * r[n + 1 - len(e)] * scale[n])
-        return numerators, self.den[n]
+        kq = self.kq[i]
+        acc = 0
+        # The step to degree d is k q_i (c + n - d) = R_i[n - d + 1]/R_i[n - d].
+        for a, f_d, step in zip(e, self.f, range(kq * (c + n), 0, -kq)):
+            acc = acc * step + a * f_d
+        return acc * self.r[i][n + 1 - len(e)]
 
 
 def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: int) -> Fraction:
@@ -233,12 +234,12 @@ def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: 
     factorial, and e_d the t^d coefficient of prod_j (1 + b_j t)^(x_j).  Over
     b = p/q with common denominator q, E_d = e_d q^d are the s^d coefficients
     of prod_j (1 + p_j s)^(x_j) (:func:`_affine_power`), and the value is
-    Fraction(N, D) of :class:`_SeriesRows`, the kernel the two-trait
-    estimator and the scanner's lattice walk read as integers.
+    N/R[n] of :class:`_SeriesRows`, the kernel the two-trait estimator and
+    the scanner's lattice walk read as integers.
     """
     p, q = _integer_slopes(b)
-    (numerator,), denominator = _SeriesRows(c, k, (q,)).at([_affine_power(p, x)], sum(x))
-    return Fraction(numerator, denominator)
+    rows, n = _SeriesRows(c, k, (q,)), sum(x)
+    return Fraction(rows.numerator(0, _affine_power(p, x), n), rows.r[0][n])
 
 
 def _one_misclass_row(c: int, k: int, sens: Fraction) -> Iterator[tuple[int, int]]:
@@ -279,13 +280,14 @@ def _one_misclass_values(radical: Scale, exact: bool) -> Callable[[int, int], Nu
     A radical folded to C gives (C.den den - C.num a)/(C.den den): a Fraction
     when `exact`, else one correctly rounded int/int true division, with no
     gcd.  Otherwise C = 1 and the value is the float 1 + (-a/den) B^(1/k).  A
-    float past the range raises OverflowError.
+    float past the range is inf with the sign of -a (:func:`float_quotient`),
+    which is what `estimate` prints for the exact value too.
     """
     if not radical.is_rational:
         r = float(radical)
-        return lambda a, den: 1.0 + (-a / den) * r
+        return lambda a, den: 1.0 + float_quotient(-a, den) * r
     num, scale = radical.coeff.numerator, radical.coeff.denominator
-    quotient = Fraction if exact else operator.truediv
+    quotient = Fraction if exact else float_quotient
     return lambda a, den: quotient(scale * den - num * a, scale * den)
 
 
@@ -327,12 +329,14 @@ def unbiased_one_misclass(
     Reduces exactly to :func:`unbiased_one` at specificity = sensitivity = 1.
     Improper whenever the test errs: negative at y = 0 for specificity < 1,
     and unbounded in y for specificity = 1, sensitivity < 1.  Returns an
-    exact Fraction when the radical collapses (specificity = 1), else float.
+    exact Fraction when the radical collapses (specificity = 1), else float,
+    inf of its sign past the float range.
     """
-    const, radical = unbiased_one_misclass_parts(y, c, k, specificity, sensitivity)
-    if radical.is_rational:
-        return const + radical.as_fraction()
-    return float(const) + float(radical)
+    if y < 0 or c < 1 or k < 1:
+        raise ValueError("require y >= 0, c >= 1, k >= 1")
+    sens, radical = _one_misclass_radical(k, specificity, sensitivity)
+    a, den = next(itertools.islice(_one_misclass_row(c, k, sens), y, None))
+    return _one_misclass_values(radical, exact=True)(a, den)
 
 
 # Values per Python float list in _float_roots.
@@ -410,19 +414,28 @@ class _TwoMisclassForms(NamedTuple):
     """The two-trait series estimator's per-model constants, components 00/10/01 in order.
 
     Component i's series value at z is a0_i^(1/k) S_i(z), S_i the
-    :func:`_series_coefficient` of its slopes p_i/q_i, and a0_i^(1/k) folds
-    to coeff base^exponent (:class:`Scale`).  `merge` lists, for p00, p10
-    and p01, its terms in sorted (base, exponent) order: the term's rational
-    factor as integer weights (a_00, a_10, a_01) of (S_00, S_10, S_01) over
-    the one common denominator `weight_den`, and the radical
-    float(base)**float(exponent), None where it is rational.
-    float(Scale(q, base, exponent)) of a folded key is float(q) times that
-    radical, so every float keeps its bits.
+    :func:`_series_coefficient` of its slopes, and a0_i^(1/k) folds to coeff
+    base^exponent (:class:`Scale`).  `merge` lists, for p00, p10 and p01,
+    its terms in sorted (base, exponent) order: the term's rational factor as
+    (component, integer weight) pairs, sum_i a_i S_i over the one common
+    denominator `weight_den`, and the radical float(base)**float(exponent),
+    None where it is rational.  float(Scale(q, base, exponent)) of a folded
+    key is float(q) times that radical, so every float keeps its bits.
+
+    A radical group is the set of components that one merge term adds before
+    rounding.  Each component's slopes are p_i/q_i over its group's common
+    denominator q_i, so S_i = N_i/R_i[n] of :class:`_SeriesRows` and the
+    members of a term share one denominator.  `slope` is v where every nonzero
+    p_ij equals v, so that S_i depends on z only through (|z|, the count m
+    over `sloped[i]`), with polynomial (1 + v s)^m; it is None where a
+    component has two or more distinct slopes.
     """
 
     p: tuple[tuple[int, ...], ...]
     q: tuple[int, ...]
-    merge: tuple[tuple[tuple[tuple[int, ...], float | None], ...], ...]
+    slope: tuple[int | None, ...]
+    sloped: tuple[tuple[int, ...], ...]
+    merge: tuple[tuple[tuple[tuple[tuple[int, int], ...], float | None], ...], ...]
     weight_den: int
 
 
@@ -431,53 +444,70 @@ def _two_misclass_forms(k: int, misclass: MisclassModel | None) -> _TwoMisclassF
     """The radicands' slopes and the radical merge of p00 = S00, p10 = S10 - S00, p01 = S01 - S00."""
     forms = two_disease_radicand_forms(misclass)
     scales = [Scale(1, a0, Fraction(1, k)) for a0, _ in forms.values()]
-    integer = [_integer_slopes(tuple(a / a0 for a in linear)) for a0, linear in forms.values()]
+    slopes = [tuple(a / a0 for a in linear) for a0, linear in forms.values()]
     weight_den = math.lcm(*(scale.coeff.denominator for scale in scales))
     merge = []
+    group = [{i} for i in range(3)]
     for signs in ((1, 0, 0), (-1, 1, 0), (-1, 0, 1)):
-        terms: dict[tuple[Fraction, Fraction], list[int]] = {}
+        terms: dict[tuple[Fraction, Fraction], list[tuple[int, int]]] = {}
         for i, (sign, scale) in enumerate(zip(signs, scales)):
             if sign:
-                weights = terms.setdefault(scale.radical_key(), [0] * 3)
-                weights[i] += sign * int(scale.coeff * weight_den)
+                terms.setdefault(scale.radical_key(), []).append((i, sign * int(scale.coeff * weight_den)))
+        for pairs in terms.values():
+            members = set().union(*(group[i] for i, _ in pairs))
+            for i in members:
+                group[i] = members
         merge.append(tuple(
-            (tuple(weights), None if base == 1 else float(base) ** float(exponent))
-            for (base, exponent), weights in sorted(terms.items())
+            (tuple(pairs), None if base == 1 else float(base) ** float(exponent))
+            for (base, exponent), pairs in sorted(terms.items())
         ))
+    q = tuple(math.lcm(*(v.denominator for j in group[i] for v in slopes[j])) for i in range(3))
+    p = tuple(tuple(int(v * q_i) for v in b) for b, q_i in zip(slopes, q))
+    distinct = [set(row) - {0} for row in p]
     return _TwoMisclassForms(
-        tuple(p for p, _ in integer), tuple(q for _, q in integer), tuple(merge), weight_den
+        p, q, tuple(max(d, default=0) if len(d) <= 1 else None for d in distinct),
+        tuple(tuple(j for j, v in enumerate(row) if v) for row in p),
+        tuple(merge), weight_den,
     )
 
 
 def _two_misclass_values(
-    forms: _TwoMisclassForms, numerators: list[int], denominator: int
+    forms: _TwoMisclassForms, numerators: list[int], scales: list[int]
 ) -> tuple[Number, Number, Number, Number]:
-    """(p00, p10, p01, p11) from the series values N_i/D, merged by radical.
+    """(p00, p10, p01, p11) from the series values N_i/R_i, merged by radical; scales[i] = W R_i.
 
-    A term's rational factor is sum_i a_i N_i / (W D): it is zero-tested on
-    that integer numerator and rounded by one int/int true division, which
-    rounds correctly, so it is float(Fraction(...)) bit for bit.  A value is
-    an exact Fraction when every surviving (nonzero) term's radical is
-    rational, else a float summed in sorted radical order, bit for bit as
-    :func:`gtseq.series.unbiased_from_series`.
+    A term's rational factor is sum_i a_i N_i / (W R), R its members' shared
+    denominator: it is zero-tested on that integer numerator and rounded by
+    one int/int true division, which rounds correctly, so it is
+    float(Fraction(...)) bit for bit.  A value is an exact Fraction when every
+    surviving (nonzero) term's radical is rational (at most one term is),
+    else a float summed in sorted radical order, bit for bit as
+    :func:`gtseq.series.unbiased_from_series`.  A value whose float is not
+    finite raises OverflowError: terms past the range can cancel to NaN.
     """
-    scale = forms.weight_den * denominator
     values = []
     for terms in forms.merge:
-        nonzero = [
-            (numerator, radical)
-            for weights, radical in terms
-            if (numerator := sum(map(operator.mul, weights, numerators)))
-        ]
-        if all(radical is None for _, radical in nonzero):
-            values.append(Fraction(sum(numerator for numerator, _ in nonzero), scale))
-        else:
-            values.append(sum(
-                numerator / scale if radical is None else numerator / scale * radical
-                for numerator, radical in nonzero
-            ))
+        value, rational, irrational = 0, None, False
+        for pairs, radical in terms:
+            numerator = 0
+            for i, a in pairs:
+                numerator += a * numerators[i]
+            if not numerator:
+                continue
+            scale = scales[pairs[0][0]]
+            if radical is None:
+                rational = numerator, scale
+                value += numerator / scale
+            else:
+                irrational = True
+                value += numerator / scale * radical
+        values.append(value if irrational else Fraction(*rational) if rational else Fraction(0))
     p00, p10, p01 = values
-    return (p00, p10, p01, 1 - p00 - p10 - p01)
+    # Every term was rounded on the way, so a component past the range raised or made p11
+    # inf or NaN; a Fraction p11 past it raises when isfinite converts it.
+    if not math.isfinite(p11 := 1 - p00 - p10 - p01):
+        raise OverflowError(p11)
+    return p00, p10, p01, p11
 
 
 def unbiased_two_misclass(
@@ -492,7 +522,8 @@ def unbiased_two_misclass(
     own radicand; p10 and p01 are that of theirs less p00's.  With the
     identity misclassification model this reduces exactly to
     :func:`unbiased_two`.  Values are exact Fractions when no irrational
-    radical survives (e.g. the identity case), floats otherwise.
+    radical survives (e.g. the identity case), floats otherwise.  A value
+    past the float range raises DomainError.
     """
     return next(_two_misclass_walk(c, k, misclass, [tuple(int(v) for v in z)]))[1]
 
@@ -502,32 +533,54 @@ def _two_misclass_walk(
 ) -> Iterator[tuple[Sequence[int], tuple[Number, Number, Number, Number]]]:
     """(z, :func:`unbiased_two_misclass` at z) for each z of `points`, lazily, in their order.
 
-    live[a] is prod_(j<=a) (1 + p_j s)^(z_j), one per axis and component.
-    With a the first axis where z differs from its predecessor (the origin
-    before the first point), live[a] gains z_a - prev_a factors and each
-    later axis is rebuilt from the one before: one factor per point in
-    ``iter_counts`` order, none at a repeat.  A negative count, from a
-    negative or descending point, raises.  One :class:`_SeriesRows` serves
-    the whole walk, so memory stays O(largest total), and each point costs
-    O(total) integer steps per component and one division per output float.
+    A component with one distinct nonzero slope v (`_TwoMisclassForms.slope`)
+    reads its numerator sum_d C(m, d) v^d F[d] R_i[n - d] from a dict keyed
+    by (n, m), n = |z| and m its count over the sloped axes, filled the first
+    time a key is visited.  Each other component keeps its live polynomials:
+    live[a] is prod_(j<=a) (1 + p_j s)^(z_j), one per axis.  With a the
+    first axis where z differs from its predecessor (the origin before the
+    first point), live[a] gains z_a - prev_a factors and each later axis is
+    rebuilt from the one before: one factor per point in ``iter_counts``
+    order, none at a repeat.  A negative count, from a negative or descending
+    point, raises ValueError; a value past the float range raises DomainError
+    naming the point.  One :class:`_SeriesRows` serves the whole walk, so
+    memory stays O(largest total) plus one integer per distinct key, and each
+    point costs O(total) integer steps per stepped component and one division
+    per output float.
     """
     if c < 1 or k < 1:
         raise ValueError("require z >= 0 componentwise, c >= 1, k >= 1")
     forms = _two_misclass_forms(k, misclass)
     rows = _SeriesRows(c, k, forms.q)
-    live = [[[1]] * 3 for _ in forms.p]
+    numerator = rows.numerator
+    stepped = [(i, p, [[1]] * 3) for i, (p, v) in enumerate(zip(forms.p, forms.slope)) if v is None]
+    keyed = [(i, v, axes, {}) for i, (v, axes) in enumerate(zip(forms.slope, forms.sloped)) if v is not None]
+    numerators, scales = [0] * 3, {}
     for prev, z in itertools.pairwise(itertools.chain([(0, 0, 0)], points)):
         axis = next((j for j in range(3) if z[j] != prev[j]), 2)
         counts = (z[axis] - prev[axis], *z[axis + 1:])
         if min(counts) < 0:
             raise ValueError(f"require z >= 0 componentwise, c >= 1, k >= 1, ascending: {z}")
-        for polys, p in zip(live, forms.p):
+        n = sum(z)
+        for i, p, polys in stepped:
             e = polys[axis]
             for j, count in enumerate(counts, axis):
                 for _ in range(count):
                     e = _affine_power_step(e, p[j])
                 polys[j] = e
-        yield z, _two_misclass_values(forms, *rows.at([polys[-1] for polys in live], sum(z)))
+            numerators[i] = numerator(i, e, n)
+        for i, v, axes, memo in keyed:
+            key = (n, sum(map(z.__getitem__, axes)))
+            if (value := memo.get(key)) is None:
+                value = memo[key] = numerator(i, _binomial_powers(v, key[1]), n)
+            numerators[i] = value
+        if (scale := scales.get(n)) is None:
+            scale = scales[n] = [forms.weight_den * r[n] for r in rows.r]
+        try:
+            values = _two_misclass_values(forms, numerators, scale)
+        except OverflowError:
+            raise DomainError(f"the estimate at z = {tuple(z)} is past the float range") from None
+        yield z, values
 
 
 def mle_two_table(
@@ -660,8 +713,9 @@ def evaluate_table(
         return values, np.zeros(n, dtype=bool)
     if estimator is EstimatorId.UB_ONE_MISCLASS:
         y = samples[:, 0]
-        row = unbiased_one_misclass_row(c, k, specificity, sensitivity)
-        values = np.array([float(v) for v in itertools.islice(row, int(y.max(initial=0)) + 1)])
+        sens, radical = _one_misclass_radical(k, specificity, sensitivity)
+        row = itertools.islice(_one_misclass_row(c, k, sens), int(y.max(initial=0)) + 1)
+        values = np.array(list(itertools.starmap(_one_misclass_values(radical, exact=False), row)))
         return values[y][:, None], np.zeros(n, dtype=bool)
     if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
         order = np.lexsort(samples.T[::-1])
@@ -690,7 +744,7 @@ def _one_trait_violations(
     folded (B = 1), else k: p_hat > 1 iff a < 0, and p_hat < 0 iff
     (C.num a)^e B.num > (C.den den)^e B.den.  A reported value is the float of
     :func:`_one_misclass_values`, so `estimate` prints the same digits; one past
-    the float range is reported as math.inf with the sign of -a.
+    the float range is reported as inf with the sign of -a.
     """
     # Passed as given: _one_misclass_radical judges nu before it converts them.
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
@@ -706,11 +760,7 @@ def _one_trait_violations(
         else:
             yield []
             continue
-        try:
-            value = value_at(a, den)
-        except OverflowError:
-            value = math.inf if a < 0 else -math.inf
-        yield [PropernessViolation((y,), "p", value, kind)]
+        yield [PropernessViolation((y,), "p", value_at(a, den), kind)]
 
 
 def _simplex_violations(

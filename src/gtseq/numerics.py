@@ -28,6 +28,14 @@ def as_fraction(x: Number) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def float_quotient(num: int, den: int) -> float:
+    """num/den for den > 0, rounded once as float(Fraction(num, den)); past the range, inf of its sign."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def int_nth_root(n: int, k: int) -> tuple[int, bool]:
     """Floor k-th root of n >= 0, and whether it is exact."""
     if n < 0:

@@ -26,7 +26,7 @@ from gtseq.bench import CSV_HEADER, EstimateRecord, render_records, run_mode, ta
 from gtseq.cli import main
 from gtseq.config import parse_config, resolve_estimators
 from gtseq.errors import DomainError
-from gtseq.estimators import evaluate_table
+from gtseq.estimators import EstimatorId, evaluate_table, scan_properness
 from gtseq.plans import simulate_imn_counts
 from test_estimators import SHIPPED_SCAN_SHA256
 
@@ -821,6 +821,36 @@ misclass = 0.98:0.95
         assert estimates[-1] == "inf" and rows[-1]["sample"] == "2000"
         assert {row["flags"] for row in rows} == {"violates=above 1"}
 
+    @pytest.mark.filterwarnings("ignore:misclassification parameter <= 0.5")
+    def test_one_trait_estimate_past_the_float_range_prints_inf(self, tmp_path, capsys):
+        # At y = 2000 the estimate passes the float range.  estimate exited 1 with an
+        # OverflowError traceback: at 1:0.05 from its exact value, at 0.999:0.05 from its
+        # radical.  It prints inf, the value the scan and the UB_ONE_MISCLASS table report.
+        text = ("[run]\nmode = estimate\n[model]\np = 0.05\nk = 2\nc = 1\n"
+                "misclass = 1:0.05, 0.999:0.05\nestimators = UB_ONE_MISCLASS\ny = 2000\n")
+        assert main(["estimate", "--config", write_cfg(tmp_path, text)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(row["pi0"], row["estimate"]) for row in rows] == [("1", "inf"), ("0.999", "inf")]
+        for specificity in (1, 0.999):
+            params = dict(specificity=specificity, sensitivity=0.05)
+            table, _ = evaluate_table(EstimatorId.UB_ONE_MISCLASS, np.array([[2000], [0]]), 1, 2, **params)
+            scan = scan_properness(EstimatorId.UB_ONE_MISCLASS, 1, 2, bound=2000, **params)
+            assert scan[-1].sample == (2000,)
+            assert table[0, 0] == scan[-1].value == math.inf
+
+    @pytest.mark.filterwarnings("ignore:misclassification parameter <= 0.5")
+    def test_two_trait_estimate_past_the_float_range_is_a_numerical_error(self, tmp_path, capsys):
+        # Terms past the float range can have opposite signs, and inf - inf is NaN, so no
+        # value is printed.  estimate exited 1 with an OverflowError traceback.
+        text = ("[run]\nmode = estimate\n[model]\nfamily = two\np = 0.05:0.05:0.025\nk = 2\n"
+                "c = 1\nmisclass = 0.99:0.05:0.99:0.05\nestimators = UB_TWO_MISCLASS_SERIES\n"
+                "z = 0:0:0, 400:0:0\n")
+        assert main(["estimate", "--config", write_cfg(tmp_path, text)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gtseq: grid point p=(0.05, 0.05, 0.025) k=2 c=1 ")
+        assert captured.err.endswith(": the estimate at z = (400, 0, 0) is past the float range\n")
+
     def test_bench_with_large_totals_fits_in_two_gib(self, tmp_path):
         # Largest sample total is about 45,000: a dense table over it would take 15 GiB.
         text = LARGE_TOTALS_CFG.format(seed=0, replicates=100_000, k=10, c=20, estimators="ub, mle")
@@ -838,6 +868,16 @@ misclass = 0.98:0.95
         assert proc.returncode == 0
         assert "--config" in proc.stdout
 
+    def test_help_lists_every_mode(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for mode, text in cli._MODE_HELP.items():
+            assert f"  {mode}" in out and text in out, mode
+
+    def test_unknown_mode_is_a_validation_error(self, tmp_path, capsys):
+        assert main(["scan", "--config", write_cfg(tmp_path, BENCH_CFG)]) == 1
+        assert "invalid choice: 'scan'" in capsys.readouterr().err
+
 
 # sha256 of render_records(records, "csv"); each equals sha256sum of
 # `gtseq <mode> --config configs/<name>.cfg --out F`.  The other four shipped
@@ -848,6 +888,7 @@ SHIPPED_CSV_SHA256 = {
     "verify_two_default": "0218ac48b5e82345fb57169fc7f5d178a83c63baade43e2cf670f60b9e66f990",
     "scan_improper": "45cca9926aa6bc057218c47ef7611a6a1c7d582e77a6ee60fbeb3a9c7f327475",
     "identify_grid": "ccc8ed53923eb308ccdd010cf75dbe27cb721b1f091676b2d4223bdeb032fd94",
+    "estimate_two_misclass": "63b74f1c39cd9974dd4220d6ae5e7f0db0938007e2b659039e44f21027e6ace1",
 }
 
 

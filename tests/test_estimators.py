@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from fractions import Fraction as F
 
@@ -20,8 +21,8 @@ from gtseq.estimators import (
     FAMILY,
     TWO_COMPONENTS,
     EstimatorId,
+    PropernessViolation,
     ViolationKind,
-    _affine_power,
     _descending_pool_product,
     _one_misclass_radical,
     _one_misclass_row,
@@ -30,7 +31,6 @@ from gtseq.estimators import (
     _SeriesRows,
     _simplex_violations,
     _two_misclass_forms,
-    _two_misclass_values,
     _two_misclass_walk,
     estimator_callable,
     evaluate,
@@ -57,8 +57,10 @@ from gtseq.model import (
     invert_cell_probs,
     observed_cell_probs,
     positive_nu,
+    two_disease_radicand_forms,
     two_disease_radicands,
 )
+from gtseq.numerics import Scale
 from gtseq.plans import iter_counts, truncated_expectation
 from gtseq.series import (
     estimator_series_one,
@@ -223,16 +225,17 @@ class TestUnbiasedOneMisclassRow:
             unbiased_one_misclass_row(c, k, F("0.98"), F("0.95"))
 
     def test_one_trait_modes_make_no_one_trait_coefficient_call(self, monkeypatch):
-        # Every series coefficient, one-trait or two-trait, is read through _SeriesRows.at,
-        # one polynomial per component: one-trait reads pass one, two-trait reads three.
+        # Every series coefficient, one-trait or two-trait, is read through
+        # _SeriesRows.numerator, over rows built for one row per component: one-trait
+        # rows serve one, two-trait rows three.
         widths = []
-        kernel = _SeriesRows.at
+        kernel = _SeriesRows.numerator
 
-        def counting(rows, polys, n):
-            widths.append(len(polys))
-            return kernel(rows, polys, n)
+        def counting(rows, i, e, n):
+            widths.append(len(rows.r))
+            return kernel(rows, i, e, n)
 
-        monkeypatch.setattr(_SeriesRows, "at", counting)
+        monkeypatch.setattr(_SeriesRows, "numerator", counting)
         model = OneDiseaseModel(0.05, 5, 2, 0.98, 0.95)
         assert verify_one(model).passed
         records, _ = run_mode(parse_config(ONE_TRAIT_MISCLASS_BENCH))
@@ -540,29 +543,58 @@ def _bitwise(values):
 
 
 def _per_sample_two_misclass(z, c, k, misclass):
-    """The per-sample construction the walk replaced: fresh rows, every polynomial built from 1."""
-    forms = _two_misclass_forms(k, misclass)
-    rows = _SeriesRows(c, k, forms.q)
-    return _two_misclass_values(forms, *rows.at([_affine_power(p, z) for p in forms.p], sum(z)))
+    """The per-sample construction the walk replaced, from exact series values merged by radical.
+
+    Each component's series value is a fresh :func:`_series_coefficient` (its own rows,
+    its polynomial built from 1).  Each output adds its components' rational factors per
+    radical and rounds each nonzero sum once, summed in sorted radical order; it is an
+    exact Fraction where no irrational radical survives.
+    """
+    series = [
+        (Scale(1, a0, F(1, k)), _series_coefficient(tuple(a / a0 for a in linear), z, c, k))
+        for a0, linear in two_disease_radicand_forms(misclass).values()
+    ]
+    values = []
+    for signs in ((1, 0, 0), (-1, 1, 0), (-1, 0, 1)):
+        terms = {}
+        for sign, (scale, value) in zip(signs, series):
+            if sign:
+                key = scale.radical_key()
+                terms[key] = terms.get(key, 0) + sign * scale.coeff * value
+        nonzero = sorted((key, term) for key, term in terms.items() if term)
+        if all(base == 1 for (base, _), _ in nonzero):
+            values.append(sum((term for _, term in nonzero), F(0)))
+        else:
+            values.append(sum(
+                float(term) * (1 if base == 1 else float(base) ** float(exponent))
+                for (base, exponent), term in nonzero
+            ))
+    p00, p10, p01 = values
+    return (p00, p10, p01, 1 - p00 - p10 - p01)
 
 
 class TestTwoMisclassWalk:
     """The two-trait walk against the per-sample construction it replaced, point by point."""
 
     @pytest.mark.parametrize(
-        "misclass, c, k, bound",
+        "misclass, c, k, bound, distinct",
         [
-            (independent_errors(DECIMAL_PARAMS), 1, 2, 16),
-            (DECIMAL_ERRORS, 1, 2, 6),
-            (MisclassModel.identity(), 2, 3, 10),
-            (DYADIC_ERRORS, 3, 2, 10),
-            (independent_errors(DECIMAL_PARAMS), 2, 1, 10),
-            (TRAIT_TWO_PERFECT, 1, 2, 10),
+            (independent_errors(DECIMAL_PARAMS), 1, 2, 16, [3, 1, 1]),
+            (DECIMAL_ERRORS, 1, 2, 8, [3, 3, 3]),
+            (MisclassModel.identity(), 2, 3, 10, [1, 1, 1]),
+            (DYADIC_ERRORS, 3, 2, 10, [3, 1, 1]),
+            (independent_errors(DECIMAL_PARAMS), 2, 1, 10, [3, 1, 1]),
+            (TRAIT_TWO_PERFECT, 1, 2, 10, [2, 1, 1]),
         ],
         ids=["decimal", "float", "identity", "dyadic", "k1", "zero-slope"],
     )
-    def test_walk_equals_per_sample_estimator(self, misclass, c, k, bound):
+    def test_walk_equals_per_sample_estimator(self, misclass, c, k, bound, distinct):
         # Every independent-errors model has zero slopes: component 10's on z10, 01's on z01.
+        # A component with one distinct nonzero slope reads its numerators by (|z|, m) key;
+        # one with two or three steps its polynomials, and the cases cover all three.
+        forms = _two_misclass_forms(k, misclass)
+        assert [len(set(p) - {0}) for p in forms.p] == distinct
+        assert [v is not None for v in forms.slope] == [d == 1 for d in distinct]
         walked = list(_two_misclass_walk(c, k, misclass, iter_counts(3, bound)))
         assert [z for z, _ in walked] == list(iter_counts(3, bound))
         # The per-point scan the walk replaced, written out as the oracle.
@@ -619,6 +651,40 @@ class TestTwoMisclassWalk:
         with pytest.raises(ValueError, match=re.escape(f"k >= 1, ascending: {points[1]}")):
             next(walk)
 
+    @pytest.mark.parametrize(
+        "misclass, calls",
+        [(independent_errors(DECIMAL_PARAMS), {0: 969, 1: 153, 2: 153}),
+         (MisclassModel.identity(), {0: 17, 1: 153, 2: 153})],
+        ids=["decimal", "identity"],
+    )
+    def test_keyed_components_compute_one_numerator_per_key(self, monkeypatch, misclass, calls):
+        # At bound 16 the lattice has 969 points but only 153 keys (|z|, m) with m <= |z|:
+        # components 10 and 01 have one distinct slope, so each computes 153 numerators.
+        # Component 00 steps at every point under errors; at the identity all its slopes
+        # are equal and its m is |z|, 17 keys.
+        counted = Counter()
+        kernel = _SeriesRows.numerator
+
+        def counting(rows, i, e, n):
+            counted[i] += 1
+            return kernel(rows, i, e, n)
+
+        monkeypatch.setattr(_SeriesRows, "numerator", counting)
+        scan_properness(EstimatorId.UB_TWO_MISCLASS_SERIES, 1, 2, misclass=misclass, bound=16)
+        assert counted == calls
+
+    @pytest.mark.filterwarnings("ignore:misclassification parameter <= 0.5")
+    def test_value_past_the_float_range_raises_naming_the_sample(self):
+        # The terms at z = (400, 0, 0) pass the float range with opposite signs, so their
+        # float sum would be inf - inf; the int/int division raised a bare OverflowError.
+        misclass = independent_errors(IndepErrorParams(0.99, 0.05, 0.99, 0.05))
+        message = re.escape("the estimate at z = (400, 0, 0) is past the float range")
+        with pytest.raises(DomainError, match=message):
+            evaluate_table(
+                EstimatorId.UB_TWO_MISCLASS_SERIES, np.array([[400, 0, 0], [0, 0, 0]]), 1, 2,
+                misclass=misclass,
+            )
+
     def test_walk_is_lazy(self):
         # A full lattice at bound 10,000 holds 1.7e11 points; the scan stops at z = 0.
         violations = scan_properness(
@@ -635,6 +701,22 @@ class TestTwoMisclassWalk:
     def test_scan_rejects_invalid_design(self, c, k):
         with pytest.raises(ValueError, match=r"require c >= 1, k >= 1"):
             scan_properness(EstimatorId.UB_TWO_MISCLASS_SERIES, c, k, misclass=DYADIC_ERRORS, bound=3)
+
+
+class TestPropernessViolation:
+    @pytest.mark.parametrize(
+        "kind, violating, proper",
+        [(ViolationKind.BELOW_ZERO, [0.0, -1e-300, -math.inf], [5e-324, 1.0]),
+         (ViolationKind.ABOVE_ONE, [1.0, 1.5, math.inf], [0.0, 0.9999999999999999]),
+         (ViolationKind.SIMPLEX_SUM, [1.0, 2.0], [0.5, -1.0])],
+        ids=["below", "above", "simplex"],
+    )
+    def test_value_must_violate_its_bound(self, kind, violating, proper):
+        for value in violating:
+            assert PropernessViolation((0,), "p", value, kind).value == value
+        for value in [*proper, math.nan]:
+            with pytest.raises(ValueError, match="does not violate bound"):
+                PropernessViolation((0,), "p", value, kind)
 
 
 class TestScanProperness:
