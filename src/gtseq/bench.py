@@ -421,8 +421,10 @@ def run_mode(config: ExperimentConfig) -> tuple[list[EstimateRecord], bool]:
             if not isinstance(exc, (GtseqError, MemoryError)):
                 raise
             where = f"grid point p={point.p} k={point.k} c={point.c} misclass={point.misclass}"
-            if isinstance(exc, MemoryError):  # numpy's message names the refused allocation
-                raise GtseqError(f"{where}: out of memory: {exc}") from exc
+            if isinstance(exc, MemoryError):
+                # numpy's message names the refused allocation; a bare MemoryError names none.
+                detail = str(exc) or "no allocation named"
+                raise GtseqError(f"{where}: out of memory: {detail}") from exc
             raise type(exc)(f"{where}: {exc}") from exc
 
     if threads > 1:

@@ -26,6 +26,8 @@ trait the coefficients obey a three-term recurrence, so
 (:func:`unbiased_one_misclass_row`), which bench, verify and the scanner
 walk once per grid point.  Both kernels are exact at the error-free model,
 so the scanner walks the perfect-test estimators through them too.
+verify reads the one-trait perfect-test floats from :func:`unbiased_one_row`,
+the UB_ONE_PERFECT table's values in pure Python.
 The truncated-series constructor in :mod:`gtseq.series` is the paper's
 construction, not used at run time: it is the independent oracle that the
 test suite checks every estimator here against.
@@ -319,6 +321,26 @@ def unbiased_one_misclass_row(
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
     value = _one_misclass_values(radical, exact=True)
     return itertools.starmap(value, _one_misclass_row(c, k, sens))
+
+
+def unbiased_one_row(c: int, k: int) -> Iterator[float]:
+    """:func:`unbiased_one` at y = 0, 1, 2, ... in floats, with no numpy.
+
+    1 - head with head *= 1 - 1/(k(c + y)): the products of
+    :func:`_pool_factor_rows`' cumprod, so each value equals the
+    UB_ONE_PERFECT column of :func:`evaluate_table` bit for bit.  Raises on
+    the call, not on the first value, unless c >= 1 and k >= 1.
+    """
+    if c < 1 or k < 1:
+        raise ValueError("require c >= 1, k >= 1")
+
+    def row() -> Iterator[float]:
+        head = 1.0
+        for m in itertools.count(k * c, k):
+            yield 1.0 - head
+            head *= 1.0 - 1.0 / m
+
+    return row()
 
 
 def unbiased_one_misclass(

@@ -215,6 +215,26 @@ def imn_pmf(x: Sequence[int] | np.ndarray, c: int, mu: Sequence[Number]) -> floa
     return float(pmf[0]) if counts.ndim == 1 else pmf
 
 
+def imn_pmf_row(c: int, theta: float, max_total: int) -> list[float]:
+    """P(X = y) under IMN_1(c, (theta,)) at y = 0, ..., max_total, with no numpy.
+
+    The t = 1 case of :func:`imn_pmf`, bit for bit: the same lgamma table and
+    the same float operations in the same order, so it equals imn_pmf over
+    the (max_total + 1, 1) array of y.
+    """
+    (theta,) = _check_mu((float(theta),))
+    if c < 1:
+        raise DomainError("c must be >= 1")
+    log_fact = [math.lgamma(m + 1) for m in range(c + max_total)]
+    lead = c * math.log(1 - theta)
+    log_p = [log_fact[c + y - 1] - log_fact[c - 1] + lead for y in range(max_total + 1)]
+    if theta == 0.0:
+        return [math.exp(log_p[0])] + [0.0] * max_total
+    # imn_pmf adds 0.0 at y = 0 where this adds 0 * log(theta) - lgamma(1) = -0.0: the same sum.
+    log_theta = math.log(theta)
+    return [math.exp(v + (y * log_theta - log_fact[y])) for y, v in enumerate(log_p)]
+
+
 def imn_pmf_exact(x: Sequence[int], c: int, mu: Sequence[Number]) -> Fraction:
     """Exact rational pmf for rational mu."""
     mu = _check_mu(mu)

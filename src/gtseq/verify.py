@@ -5,8 +5,10 @@ total and compares against the true parameter.  Estimators that are provably
 bounded get a certified tail (bound times the stopping-class tail
 probability); the misclassified one-disease estimator is unbounded, so its
 check reports a partial sum with a term-decay diagnostic instead.  Every
-certificate and pass verdict is computed here; plans.truncated_expectation is
-the uncertified reference lattice sum.
+certificate and pass verdict is computed here.  The one-disease checks walk
+one estimate row against one pmf row in Python, with no lattice and no
+numpy; plans.truncated_expectation, the uncertified reference lattice sum,
+now serves verify_two's leading sum and the tests only.
 
 The two-disease sums exploit that each component of the estimator depends
 on at most two scalar summaries of the count vector, which collapses the
@@ -19,12 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .estimators import TWO_COMPONENTS, EstimatorId, estimator_callable, unbiased_one_misclass_row
+from .estimators import (
+    TWO_COMPONENTS, EstimatorId, estimator_callable, unbiased_one_misclass_row, unbiased_one_row,
+)
 # Not called since verify_one walks the one-pass row; perfbench/spans.py traces this name.
 from .estimators import unbiased_one_misclass  # noqa: F401
 from .errors import ModelError
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
-from .plans import imn_pmf, negbin_tail, negbin_terms, truncated_expectation
+from .plans import imn_pmf, imn_pmf_row, negbin_tail, negbin_terms, truncated_expectation
 
 # Bounds certified by the product structure of the closed forms: the
 # perfect-test estimates lie in [0, 1]; each two-disease leading component
@@ -83,14 +87,14 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
         tol = 1e-8 if tol is None else tol
         aim = tol / (2 * ONE_PERFECT_BOUND)
         max_total = stopping_quantile(c, mu0, aim, cap)
-        result = truncated_expectation(
-            estimator_callable(EstimatorId.UB_ONE_PERFECT, c, k), c, (theta,), max_total=max_total
-        )
+        # The truncated_expectation sum of UB_ONE_PERFECT over y <= max_total, term for term.
+        pmf = imn_pmf_row(c, theta, max_total)
+        value = math.fsum(est * mass for est, mass in zip(unbiased_one_row(c, k), pmf))
         return VerifyRow(
             estimator=EstimatorId.UB_ONE_PERFECT.value,
             component="p",
             target=float(model.p),
-            value=result.value,
+            value=value,
             tol=tol,
             tail_bound=ONE_PERFECT_BOUND * negbin_tail(c, mu0, max_total),
             certified=True,

@@ -778,6 +778,18 @@ misclass = 0.98:0.95
             ), proc.stderr
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bare_out_of_memory_says_no_allocation_was_named(self, tmp_path, monkeypatch, capsys, threads):
+        # A MemoryError with no message, as simulate's row list raises, left the detail empty.
+        def bare_oom(point, config):
+            raise MemoryError()
+
+        monkeypatch.setitem(bench._POINT_RUNNERS, "bench", bare_oom)
+        assert main(["bench", "--config", write_cfg(tmp_path, BENCH_CFG), "--threads", threads]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gtseq: grid point p=(0.05,) k=5 c=2 "), err
+        assert err.endswith(": out of memory: no allocation named\n"), err
+
     @pytest.mark.parametrize("failing", [0, 1])
     def test_failing_point_stops_the_points_after_it(self, monkeypatch, failing):
         # The point at grid position `failing` has totals past the pool-row limit; every
@@ -939,7 +951,8 @@ z = 0:0:0, 1:1:0, 3:0:2, 12:5:1
 
 
 class TestWithoutNumpy:
-    """identify, scan-properness and estimate of the unbiased estimators never import numpy."""
+    """identify, scan-properness, one-trait verify-unbiased and estimate of the unbiased
+    estimators never import numpy."""
 
     @staticmethod
     def run_blocked(*args):
@@ -950,7 +963,8 @@ class TestWithoutNumpy:
     @pytest.mark.parametrize(
         "name, mode",
         [("identify_grid", "identify"), ("scan_improper", "scan-properness"),
-         ("scan_two_misclass", "scan-properness"), ("scan_two_perfect", "scan-properness")],
+         ("scan_two_misclass", "scan-properness"), ("scan_two_perfect", "scan-properness"),
+         ("verify_default", "verify-unbiased")],
     )
     def test_shipped_exact_configs_print_their_pinned_bytes(self, name, mode):
         cfg = Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg"

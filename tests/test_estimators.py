@@ -1,6 +1,7 @@
 """Closed forms vs the series oracle, counterexamples, scanners, MLE baselines."""
 
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -45,6 +46,7 @@ from gtseq.estimators import (
     unbiased_one_misclass,
     unbiased_one_misclass_parts,
     unbiased_one_misclass_row,
+    unbiased_one_row,
     unbiased_two,
     unbiased_two_misclass,
 )
@@ -946,7 +948,9 @@ class TestOneValuePerSample:
 
     The kernels that round an exact value once agree bit for bit.  The perfect-test
     tables multiply floats, so they are held to the per-component ulp bounds measured
-    when this test was written: a change may tighten a bound but not widen it.
+    when this test was written: a change may tighten a bound but not widen it.  The
+    numpy-free UB_ONE_PERFECT row equals its table, and each MLE table equals its
+    scalar form, clamp flags included, bit for bit.
     """
 
     @staticmethod
@@ -989,6 +993,44 @@ class TestOneValuePerSample:
         assert [self.hexes(row) for row in table.tolist()] == [self.hexes(exact[z]) for z in points]
         found = scan_properness(est, c, k, misclass=misclass, bound=bound)
         assert self.agree_with_scan(found, exact)
+
+    @pytest.mark.parametrize("c, k", [(1, 1), (1, 2), (3, 5), (20, 10)])
+    def test_one_trait_perfect_row_agrees_bitwise(self, c, k):
+        # verify_one walks this row in Python where it once read the table through the lattice sum.
+        table, _ = evaluate_table(EstimatorId.UB_ONE_PERFECT, np.arange(4001)[:, None], c, k)
+        assert self.hexes(itertools.islice(unbiased_one_row(c, k), 4001)) == self.hexes(table[:, 0].tolist())
+
+    def test_one_trait_perfect_row_checks_its_design_on_the_call(self):
+        for c, k in [(0, 2), (1, 0)]:
+            with pytest.raises(ValueError, match="require c >= 1, k >= 1"):
+                unbiased_one_row(c, k)
+
+    @pytest.mark.parametrize(
+        "spec, sens", [(1, 1), (1.0, 0.9), (0.98, 0.95)], ids=["perfect", "1:0.9", "0.98:0.95"]
+    )
+    @pytest.mark.parametrize("c, k", [(1, 2), (3, 5)])
+    def test_mle_one_table_agrees_with_scalar_bitwise(self, spec, sens, c, k):
+        ys = range(121)
+        table, clamped = evaluate_table(
+            EstimatorId.MLE_ONE, np.array(ys)[:, None], c, k, specificity=spec, sensitivity=sens
+        )
+        single = [mle_one(y, c, k, spec, sens) for y in ys]
+        assert self.hexes(table[:, 0].tolist()) == self.hexes(r.p_hat for r in single)
+        assert clamped.tolist() == [r.clamped for r in single]
+        # Every misclassified grid clamps some rows, through a radicand <= 0 or a value outside [0, 1].
+        assert any(clamped) == ((spec, sens) != (1, 1))
+
+    @pytest.mark.parametrize(
+        "misclass", [None, DYADIC_ERRORS, DECIMAL_ERRORS], ids=["perfect", "dyadic", "0.98:0.95:0.97:0.9"]
+    )
+    @pytest.mark.parametrize("c, k", [(1, 2), (4, 5)])
+    def test_mle_two_table_agrees_with_scalar_bitwise(self, misclass, c, k):
+        points = list(iter_counts(3, 14))
+        table, clamped = evaluate_table(EstimatorId.MLE_TWO, np.array(points), c, k, misclass=misclass)
+        single = [mle_two(z, c, k, misclass) for z in points]
+        assert [self.hexes(row) for row in table.tolist()] == [self.hexes(r.p) for r in single]
+        assert clamped.tolist() == [r.clamped for r in single]
+        assert any(clamped) and not all(clamped)
 
     def test_perfect_tables_within_measured_ulps(self):
         def ulps(table, exact):

@@ -20,6 +20,7 @@ from gtseq.plans import (
     imn_plan,
     imn_pmf,
     imn_pmf_exact,
+    imn_pmf_row,
     iter_counts,
     load_plan,
     negbin_tail,
@@ -95,6 +96,22 @@ class TestPmf:
             assert isinstance(imn_pmf(points[-1], c, mu), float)
             exact = [float(imn_pmf_exact(x, c, mu)) for x in points]
             assert batch.tolist() == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c", [1, 3, 20])
+    def test_one_class_row_equals_the_array_pmf_bitwise(self, c):
+        # The numpy-free t = 1 row verify_one sums: the same floats as imn_pmf, not close ones.
+        for theta in (0.0, 1e-6, 0.01, 0.3, 0.99):
+            for n in (0, 1, 60, 4000):
+                row = imn_pmf_row(c, theta, n)
+                batch = imn_pmf(np.arange(n + 1)[:, None], c, (theta,)).tolist()
+                assert [v.hex() for v in row] == [v.hex() for v in batch], (c, theta, n)
+
+    def test_one_class_row_domain_checks(self):
+        for theta in (1.0, 1.2, -0.1):
+            with pytest.raises(DomainError):
+                imn_pmf_row(1, theta, 3)
+        with pytest.raises(DomainError, match="c must be"):
+            imn_pmf_row(0, 0.2, 3)
 
     def test_batch_domain_checks(self):
         with pytest.raises(DomainError, match="does not match"):

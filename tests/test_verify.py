@@ -11,6 +11,7 @@ from gtseq.model import (
     OneDiseaseModel,
     TwoDiseaseModel,
     independent_errors,
+    observed_pos_prob,
     pool_cell_probs,
 )
 from gtseq.plans import imn_pmf_exact, truncated_expectation
@@ -55,6 +56,26 @@ class TestVerifyOne:
     def test_failure_reported_not_hidden(self):
         row = verify_one(OneDiseaseModel(0.05, 5, 2, 0.98, 0.95), tol=1e-30)
         assert not row.passed
+
+
+class TestVerifyOnePerfectRow:
+    """verify_one's perfect-test row sum equals the reference lattice sum bit for bit."""
+
+    @pytest.mark.parametrize("c", [1, 3, 20])
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_row_sum_equals_truncated_expectation(self, c, k):
+        totals = set()
+        for theta in (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999):
+            model = OneDiseaseModel(1 - (1 - theta) ** (1 / k), k, c)
+            mu = (float(observed_pos_prob(model)),)
+            for cap in (0, 4000):
+                row = verify_one(model, cap=cap)
+                ref = truncated_expectation(
+                    estimator_callable(EstimatorId.UB_ONE_PERFECT, c, k), c, mu, max_total=row.max_total
+                )
+                assert row.value.hex() == ref.value.hex(), (theta, cap, row.max_total)
+                totals.add(row.max_total)
+        assert {0, 4000} <= totals, totals
 
 
 class TestCollapseIdentity:
