@@ -22,12 +22,12 @@ through its total and one count, and reads its numerator from a dict keyed
 by that pair; any other steps its polynomials between points, one factor
 per point of the scanner's lattice.  For one
 trait the coefficients obey a three-term recurrence, so
-:func:`_one_misclass_row` yields every y = 0, 1, 2, ... in one integer pass
-(:func:`unbiased_one_misclass_row`), which bench, verify and the scanner
-walk once per grid point.  Both kernels are exact at the error-free model,
-so the scanner walks the perfect-test estimators through them too.
-verify reads the one-trait perfect-test floats from :func:`unbiased_one_row`,
-the UB_ONE_PERFECT table's values in pure Python.
+:func:`_one_misclass_row` yields every y = 0, 1, 2, ... in one integer pass,
+which the scanner walks once per grid point.  Both kernels are exact at the
+error-free model, so the scanner walks the perfect-test estimators through
+them too.  The one-trait tables' floats come as pure-Python rows, which
+verify reads: :func:`unbiased_one_misclass_row` rounds the recurrence row
+once per value, and :func:`unbiased_one_row` is the UB_ONE_PERFECT column.
 The truncated-series constructor in :mod:`gtseq.series` is the paper's
 construction, not used at run time: it is the independent oracle that the
 test suite checks every estimator here against.
@@ -276,21 +276,20 @@ def _one_misclass_radical(
     return sens, Scale(1, sens / (spec_ + sens - 1), Fraction(1, k))
 
 
-def _one_misclass_values(radical: Scale, exact: bool) -> Callable[[int, int], Number]:
-    """The estimate 1 - radical * a/den at a row entry (a, den), rounded at most once.
+def _one_misclass_values(radical: Scale) -> Callable[[int, int], float]:
+    """The float estimate 1 - radical * a/den at a row entry (a, den), rounded at most once.
 
-    A radical folded to C gives (C.den den - C.num a)/(C.den den): a Fraction
-    when `exact`, else one correctly rounded int/int true division, with no
-    gcd.  Otherwise C = 1 and the value is the float 1 + (-a/den) B^(1/k).  A
-    float past the range is inf with the sign of -a (:func:`float_quotient`),
-    which is what `estimate` prints for the exact value too.
+    A radical folded to C gives (C.den den - C.num a)/(C.den den), one
+    correctly rounded int/int true division with no gcd.  Otherwise C = 1 and
+    the value is 1 + (-a/den) B^(1/k).  A value past the range is inf with the
+    sign of -a (:func:`float_quotient`), which is what `estimate` prints for
+    the exact value too.
     """
     if not radical.is_rational:
         r = float(radical)
         return lambda a, den: 1.0 + float_quotient(-a, den) * r
     num, scale = radical.coeff.numerator, radical.coeff.denominator
-    quotient = Fraction if exact else float_quotient
-    return lambda a, den: quotient(scale * den - num * a, scale * den)
+    return lambda a, den: float_quotient(scale * den - num * a, scale * den)
 
 
 def unbiased_one_misclass_parts(
@@ -311,16 +310,17 @@ def unbiased_one_misclass_parts(
 
 def unbiased_one_misclass_row(
     c: int, k: int, specificity: Number, sensitivity: Number
-) -> Iterator[Number]:
-    """:func:`unbiased_one_misclass` at y = 0, 1, 2, ..., the same values, one recurrence step each.
+) -> Iterator[float]:
+    """:func:`unbiased_one_misclass` at y = 0, 1, 2, ... in floats, one recurrence step each.
 
-    Raises on the call, not on the first value, unless nu > 0, c >= 1 and k >= 1.
+    Each value is the UB_ONE_MISCLASS column of :func:`evaluate_table`, the
+    float of the exact value where the radical folds.  Raises on the call,
+    not on the first value, unless nu > 0, c >= 1 and k >= 1.
     """
     if c < 1 or k < 1:
         raise ValueError("require c >= 1, k >= 1")
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
-    value = _one_misclass_values(radical, exact=True)
-    return itertools.starmap(value, _one_misclass_row(c, k, sens))
+    return itertools.starmap(_one_misclass_values(radical), _one_misclass_row(c, k, sens))
 
 
 def unbiased_one_row(c: int, k: int) -> Iterator[float]:
@@ -358,7 +358,9 @@ def unbiased_one_misclass(
         raise ValueError("require y >= 0, c >= 1, k >= 1")
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
     a, den = next(itertools.islice(_one_misclass_row(c, k, sens), y, None))
-    return _one_misclass_values(radical, exact=True)(a, den)
+    if radical.is_rational:
+        return 1 - radical.coeff * Fraction(a, den)
+    return _one_misclass_values(radical)(a, den)
 
 
 # Values per Python float list in _float_roots.
@@ -735,9 +737,8 @@ def evaluate_table(
         return values, np.zeros(n, dtype=bool)
     if estimator is EstimatorId.UB_ONE_MISCLASS:
         y = samples[:, 0]
-        sens, radical = _one_misclass_radical(k, specificity, sensitivity)
-        row = itertools.islice(_one_misclass_row(c, k, sens), int(y.max(initial=0)) + 1)
-        values = np.array(list(itertools.starmap(_one_misclass_values(radical, exact=False), row)))
+        row = unbiased_one_misclass_row(c, k, specificity, sensitivity)
+        values = np.array(list(itertools.islice(row, int(y.max(initial=0)) + 1)))
         return values[y][:, None], np.zeros(n, dtype=bool)
     if estimator is EstimatorId.UB_TWO_MISCLASS_SERIES:
         order = np.lexsort(samples.T[::-1])
@@ -771,7 +772,7 @@ def _one_trait_violations(
     # Passed as given: _one_misclass_radical judges nu before it converts them.
     sens, radical = _one_misclass_radical(k, specificity, sensitivity)
     coeff, base, e = radical.coeff, radical.base, radical.exponent.denominator
-    value_at = _one_misclass_values(radical, exact=False)
+    value_at = _one_misclass_values(radical)
     num_scale = coeff.numerator**e * base.numerator
     den_scale = coeff.denominator**e * base.denominator
     for y, (a, den) in zip(range(bound + 1), _one_misclass_row(c, k, sens)):

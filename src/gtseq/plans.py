@@ -449,17 +449,6 @@ def negbin_terms(c: int, mu0: float, q: float) -> Iterator[float]:
         term *= q * (c + s) / (s + 1)
 
 
-def negbin_tail(c: int, mu0: float, max_total: int) -> float:
-    """P(total tracked count > max_total) when the total is NB(c, mu0).
-
-    Computed as 1 - fsum of pmf terms plus a 1e-12 slack absorbing float
-    rounding of the partial sum, so the result is a safe upper bound at
-    desk scale.
-    """
-    terms = itertools.islice(negbin_terms(c, mu0, 1.0 - mu0), max_total + 1)
-    return max(0.0, 1.0 - math.fsum(terms)) + 1e-12
-
-
 def truncated_expectation(
     estimator: Callable[[np.ndarray], np.ndarray | float],
     c: int,

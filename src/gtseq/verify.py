@@ -3,12 +3,14 @@
 Each check sums estimator * pmf over all sample points up to a truncation
 total and compares against the true parameter.  Estimators that are provably
 bounded get a certified tail (bound times the stopping-class tail
-probability); the misclassified one-disease estimator is unbounded, so its
-check reports a partial sum with a term-decay diagnostic instead.  Every
-certificate and pass verdict is computed here.  The one-disease checks walk
-one estimate row against one pmf row in Python, with no lattice and no
-numpy; plans.truncated_expectation, the uncertified reference lattice sum,
-now serves verify_two's leading sum and the tests only.
+probability, which :func:`stopping_quantile` gives with the truncation total
+from one walk); the misclassified one-disease estimator is unbounded, so its
+check reports a partial sum with a term-decay diagnostic instead, a failed
+row where an estimate passes the float range.  Every certificate and pass
+verdict is computed here.  The one-disease checks walk the estimator tables'
+float rows against one pmf row in Python, with no lattice and no numpy;
+plans.truncated_expectation, the uncertified reference lattice sum, now
+serves verify_two's leading sum and the tests only.
 
 The two-disease sums exploit that each component of the estimator depends
 on at most two scalar summaries of the count vector, which collapses the
@@ -28,7 +30,7 @@ from .estimators import (
 from .estimators import unbiased_one_misclass  # noqa: F401
 from .errors import ModelError
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
-from .plans import imn_pmf, imn_pmf_row, negbin_tail, negbin_terms, truncated_expectation
+from .plans import imn_pmf, imn_pmf_row, negbin_terms, truncated_expectation
 
 # Bounds certified by the product structure of the closed forms: the
 # perfect-test estimates lie in [0, 1]; each two-disease leading component
@@ -67,15 +69,19 @@ class VerifyRow:
         return not self.capped and self.error <= self.tol and (self.decay_ratio or math.inf) < 1.0
 
 
-def stopping_quantile(c: int, mu0: float, tail_target: float, cap: int = 4000) -> int:
-    """Smallest N with P(total > N) <= tail_target for a NB(c, mu0) total."""
+def stopping_quantile(c: int, mu0: float, tail_target: float, cap: int = 4000) -> tuple[int, float]:
+    """(N, tail) for a NB(c, mu0) total, from one walk of its terms.
+
+    N is the smallest total, at most `cap`, with 1 - (running sum) <= tail_target; tail bounds
+    P(total > N) by 1 - fsum of the terms up to N, plus a 1e-12 slack for float rounding.
+    """
     terms = negbin_terms(c, mu0, 1.0 - mu0)
-    acc = next(terms)
-    n = 0
-    while 1.0 - acc > tail_target and n < cap:
-        acc += next(terms)
-        n += 1
-    return n
+    kept = [next(terms)]
+    acc = kept[0]
+    while 1.0 - acc > tail_target and len(kept) <= cap:
+        kept.append(next(terms))
+        acc += kept[-1]
+    return len(kept) - 1, max(0.0, 1.0 - math.fsum(kept)) + 1e-12
 
 
 def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4000) -> VerifyRow:
@@ -86,7 +92,7 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
     if model.is_perfect_test:
         tol = 1e-8 if tol is None else tol
         aim = tol / (2 * ONE_PERFECT_BOUND)
-        max_total = stopping_quantile(c, mu0, aim, cap)
+        max_total, tail = stopping_quantile(c, mu0, aim, cap)
         # The truncated_expectation sum of UB_ONE_PERFECT over y <= max_total, term for term.
         pmf = imn_pmf_row(c, theta, max_total)
         value = math.fsum(est * mass for est, mass in zip(unbiased_one_row(c, k), pmf))
@@ -96,7 +102,7 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
             target=float(model.p),
             value=value,
             tol=tol,
-            tail_bound=ONE_PERFECT_BOUND * negbin_tail(c, mu0, max_total),
+            tail_bound=ONE_PERFECT_BOUND * tail,
             certified=True,
             max_total=max_total,
             tail_target=ONE_PERFECT_BOUND * aim,
@@ -111,7 +117,7 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
     mean_total = c * theta / max(mu0, 1e-12)
     estimates = unbiased_one_misclass_row(c, k, model.specificity, model.sensitivity)
     for y, pmf, est in zip(range(cap + 1), negbin_terms(c, mu0, theta), estimates):
-        contrib = float(est) * pmf
+        contrib = est * pmf
         contributions.append(contrib)
         magnitude = abs(contrib)
         if prev is not None and prev > 0 and magnitude > 0:
@@ -157,8 +163,7 @@ def verify_two(
     cells = tuple(float(v) for v in pool_cell_probs(model))
     t10, t01, t11, mu0 = cells
     aim = tol / (2 * TWO_COMPONENT_BOUND)
-    n = stopping_quantile(c, mu0, aim, cap)
-    tail = negbin_tail(c, mu0, n)
+    n, tail = stopping_quantile(c, mu0, aim, cap)
 
     p00 = estimator_callable(EstimatorId.UB_TWO_PERFECT, c, k, component="p00")
     p10 = estimator_callable(EstimatorId.UB_TWO_PERFECT, c, k, component="p10")

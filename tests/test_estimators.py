@@ -213,7 +213,7 @@ class TestUnbiasedOneMisclassRow:
     def test_perfect_test_row_is_unbiased_one(self, c, k):
         row = unbiased_one_misclass_row(c, k, F(1), F(1))
         for y, value in zip(range(60), row):
-            assert isinstance(value, F) and value == unbiased_one(y, c, k), y
+            assert value == float(unbiased_one(y, c, k)), y
 
     def test_nu_nonpositive_raises_on_call(self):
         with pytest.raises(IdentifiabilityError):
@@ -994,11 +994,31 @@ class TestOneValuePerSample:
         found = scan_properness(est, c, k, misclass=misclass, bound=bound)
         assert self.agree_with_scan(found, exact)
 
+    @pytest.mark.parametrize(
+        "estimator, spec, sens",
+        [
+            (EstimatorId.UB_ONE_PERFECT, 1, 1),
+            (EstimatorId.UB_ONE_MISCLASS, 0.98, 0.95),
+            (EstimatorId.UB_ONE_MISCLASS, F("0.98"), F("0.95")),
+            (EstimatorId.UB_ONE_MISCLASS, 1, 0.9),
+            (EstimatorId.UB_ONE_MISCLASS, 1, 0.5),
+        ],
+        ids=["perfect", "0.98:0.95", "decimal-0.98:0.95", "1:0.9", "past-range-1:0.5"],
+    )
     @pytest.mark.parametrize("c, k", [(1, 1), (1, 2), (3, 5), (20, 10)])
-    def test_one_trait_perfect_row_agrees_bitwise(self, c, k):
-        # verify_one walks this row in Python where it once read the table through the lattice sum.
-        table, _ = evaluate_table(EstimatorId.UB_ONE_PERFECT, np.arange(4001)[:, None], c, k)
-        assert self.hexes(itertools.islice(unbiased_one_row(c, k), 4001)) == self.hexes(table[:, 0].tolist())
+    def test_one_trait_row_agrees_bitwise(self, estimator, spec, sens, c, k):
+        # verify_one walks these rows in Python, so they must be the tables' floats.
+        if estimator is EstimatorId.UB_ONE_PERFECT:
+            row = unbiased_one_row(c, k)
+        else:
+            row = unbiased_one_misclass_row(c, k, spec, sens)
+        values = list(itertools.islice(row, 4001))
+        table, _ = evaluate_table(
+            estimator, np.arange(4001)[:, None], c, k, specificity=spec, sensitivity=sens
+        )
+        assert self.hexes(values) == self.hexes(table[:, 0].tolist())
+        # At 1:0.5 every design with k > 1 passes the float range before y = 4000.
+        assert (math.inf in values) == (sens == 0.5 and k > 1)
 
     def test_one_trait_perfect_row_checks_its_design_on_the_call(self):
         for c, k in [(0, 2), (1, 0)]:

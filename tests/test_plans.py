@@ -23,7 +23,6 @@ from gtseq.plans import (
     imn_pmf_row,
     iter_counts,
     load_plan,
-    negbin_tail,
     negbin_terms,
     path_count,
     save_plan,
@@ -32,6 +31,7 @@ from gtseq.plans import (
     truncated_expectation,
 )
 from gtseq.series import AffinePowerSpec, poly_representability
+from gtseq.verify import stopping_quantile
 
 
 def brute_force_paths(plan, point):
@@ -319,15 +319,17 @@ class TestSimulate:
 
 class TestTruncatedExpectation:
     def test_constant_estimator_recovers_mass(self):
-        result = truncated_expectation(lambda x: 1.0, 2, (0.3,), max_total=60)
+        n, tail = stopping_quantile(2, 0.7, 1e-9)
+        result = truncated_expectation(lambda x: 1.0, 2, (0.3,), max_total=n)
         assert result.value == result.mass
-        assert result.mass + negbin_tail(2, 0.7, 60) == pytest.approx(1.0, abs=1e-9)
+        assert result.mass + tail == pytest.approx(1.0, abs=1e-9)
 
     def test_unbiasedness_one_disease(self):
         # theta for p=0.1, k=2 perfect: 0.19
         fn = estimator_callable(EstimatorId.UB_ONE_PERFECT, 3, 2)
-        result = truncated_expectation(fn, 3, (0.19,), max_total=80)
-        tail_bound = 1.0 * negbin_tail(3, 0.81, 80)
+        n, tail = stopping_quantile(3, 0.81, 1e-8)
+        result = truncated_expectation(fn, 3, (0.19,), max_total=n)
+        tail_bound = 1.0 * tail
         assert tail_bound <= 1e-8
         assert abs(result.value - 0.1) <= 1e-8 + tail_bound
 
@@ -337,10 +339,11 @@ class TestTruncatedExpectation:
         model = TwoDiseaseModel(0.1, 0.1, 0.05, 2, 3)
         cells = tuple(float(v) for v in pool_cell_probs(model))
         truths = dict(zip(("p00", "p10", "p01", "p11"), (float(v) for v in model.prevalences())))
+        n, tail = stopping_quantile(3, cells[3], 1e-6)
         for component, truth in truths.items():
             fn = estimator_callable(EstimatorId.UB_TWO_PERFECT, 3, 2, component=component)
-            result = truncated_expectation(fn, 3, cells[:3], max_total=45)
-            tail_bound = 4.0 * negbin_tail(3, cells[3], 45)
+            result = truncated_expectation(fn, 3, cells[:3], max_total=n)
+            tail_bound = 4.0 * tail
             assert abs(result.value - truth) <= 1e-6 + tail_bound, component
 
     def test_batch_sum_matches_pointwise_exact_oracle(self):
@@ -373,10 +376,10 @@ class TestTruncatedExpectation:
         assert terms[0] == (1.0 - theta) ** 2
         assert terms[3] == terms[2] * (theta * 4 / 3)
 
-    def test_negbin_tail_upper_bound(self):
+    def test_stopping_tail_upper_bound(self):
         # exact tail for c=1: theta^(N+1)
-        tail = negbin_tail(1, 0.7, 10)
-        exact = 0.3 ** 11
+        n, tail = stopping_quantile(1, 0.7, 1e-5)
+        exact = 0.3 ** (n + 1)
         assert tail >= exact
         assert tail == pytest.approx(exact, abs=1e-11)
 

@@ -1,10 +1,15 @@
 """Verification helpers: certified tails and the marginal-collapse identity."""
 
+import csv
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from gtseq.estimators import EstimatorId, estimator_callable
+from gtseq import estimators
+from gtseq.cli import main
+from gtseq.estimators import EstimatorId, estimator_callable, unbiased_one_misclass_row
 from gtseq.errors import ModelError
 from gtseq.model import (
     IndepErrorParams,
@@ -14,18 +19,55 @@ from gtseq.model import (
     observed_pos_prob,
     pool_cell_probs,
 )
-from gtseq.plans import imn_pmf_exact, truncated_expectation
+from gtseq.plans import imn_pmf_exact, negbin_terms, truncated_expectation
 from gtseq.verify import stopping_quantile, verify_one, verify_two
+
+
+def two_walk_quantile(c, mu0, tail_target, cap):
+    """(N, tail) as two separate walks of the NB(c, mu0) terms once computed them."""
+    terms = negbin_terms(c, mu0, 1.0 - mu0)
+    acc = next(terms)
+    n = 0
+    while 1.0 - acc > tail_target and n < cap:
+        acc += next(terms)
+        n += 1
+    head = itertools.islice(negbin_terms(c, mu0, 1.0 - mu0), n + 1)
+    return n, max(0.0, 1.0 - math.fsum(head)) + 1e-12
+
+
+def exact_tail(c, mu0, n):
+    """P(total > n) for a NB(c, mu0) total, exactly: fewer than c stops in the first n + c draws."""
+    mu0 = F(mu0)
+    return sum(math.comb(n + c, j) * mu0**j * (1 - mu0) ** (n + c - j) for j in range(c))
 
 
 class TestStoppingQuantile:
     def test_geometric_case_exact(self):
         # c=1: tail after N is theta^(N+1); want theta^(N+1) <= 1e-6 at theta=0.5
-        n = stopping_quantile(1, 0.5, 1e-6)
+        n, _ = stopping_quantile(1, 0.5, 1e-6)
         assert 0.5 ** (n + 1) <= 1e-6 < 0.5 ** n
 
     def test_cap_respected(self):
-        assert stopping_quantile(5, 0.01, 1e-300, cap=50) == 50
+        n, _ = stopping_quantile(5, 0.01, 1e-300, cap=50)
+        assert n == 50
+
+    @pytest.mark.parametrize("c", [1, 3, 20])
+    @pytest.mark.parametrize("mu0", [0.999, 0.8, 0.3, 0.01])
+    @pytest.mark.parametrize("tail_target", [5e-9, 1e-300])
+    @pytest.mark.parametrize("cap", [50, 4000])
+    def test_one_walk_equals_two_walks(self, c, mu0, tail_target, cap):
+        n, tail = stopping_quantile(c, mu0, tail_target, cap)
+        want_n, want_tail = two_walk_quantile(c, mu0, tail_target, cap)
+        assert (n, tail.hex()) == (want_n, want_tail.hex())
+        if c <= 5:
+            assert tail >= exact_tail(c, mu0, n)
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    @pytest.mark.parametrize("mu0", [0.8, 0.3, F(1, 7)])
+    def test_exact_tail_is_one_less_the_pmf_sum(self, c, mu0):
+        theta = (1 - F(mu0),)
+        for n in (0, 1, 7, 30):
+            assert exact_tail(c, mu0, n) == 1 - sum(imn_pmf_exact((y,), c, theta) for y in range(n + 1))
 
 
 class TestVerifyOne:
@@ -56,6 +98,41 @@ class TestVerifyOne:
     def test_failure_reported_not_hidden(self):
         row = verify_one(OneDiseaseModel(0.05, 5, 2, 0.98, 0.95), tol=1e-30)
         assert not row.passed
+
+
+class TestVerifyOneFoldedRadical:
+    """At specificity 1 the misclassified check reads the table's float row, built with no Fraction."""
+
+    @pytest.mark.parametrize("spec", [1, F(1), 1.0], ids=["int", "Fraction", "float"])
+    def test_rows_pinned_and_built_without_fractions(self, monkeypatch, spec):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(estimators, "Fraction", counting)
+        row = verify_one(OneDiseaseModel(0.3, 10, 1, spec, 0.6))
+        assert (row.value.hex(), row.max_total) == ("0x1.3333318ae2638p-2", 419)
+        assert row.passed and not row.certified
+        # The radical's exponent 1/k, built once on the row's call; no value builds one.
+        assert made == [(1, 10)]
+        values = unbiased_one_misclass_row(1, 10, spec, 0.6)
+        made.clear()
+        assert all(type(v) is float for v in itertools.islice(values, 420)) and not made
+
+    def test_estimate_past_the_float_range_fails_its_row(self, tmp_path, capsys):
+        # The row's estimates pass the float range at y = 1038; the check once raised
+        # OverflowError converting an exact value there.
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("[run]\nmode = verify-unbiased\n\n[model]\np = 0.5\nk = 10\nc = 1\nmisclass = 1:0.5\n")
+        out = tmp_path / "verify.csv"
+        with pytest.warns(UserWarning, match="sensitivity = 0.5"):
+            assert main(["verify-unbiased", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        (record,) = csv.DictReader(out.open())
+        assert record["estimator"] == "UB_ONE_MISCLASS" and record["flags"].startswith("FAIL;")
+        assert math.isnan(float(record["estimate"]))
 
 
 class TestVerifyOnePerfectRow:
