@@ -333,11 +333,12 @@ def _verify_point(point: GridPoint, config: ExperimentConfig) -> list[EstimateRe
         rows = verify_two(point.model, tol=config.tol)
     records = []
     for row in rows:
-        detail = (
-            f"certified-tail={row.tail_bound:.3g}"
-            if row.certified
-            else f"uncertified;decay={row.decay_ratio if row.decay_ratio else math.nan:.3g}"
-        )
+        if row.certified:
+            detail = f"certified-tail={row.tail_bound:.3g}"
+        elif not math.isfinite(row.value):
+            detail = f"uncertified;overflow@y={row.max_total}"
+        else:
+            detail = f"uncertified;decay={row.decay_ratio if row.decay_ratio else math.nan:.3g}"
         records.append(
             _base_record(
                 point, row.estimator, row.component,

@@ -236,8 +236,9 @@ def _series_coefficient(b: tuple[Fraction, ...], x: tuple[int, ...], c: int, k: 
     factorial, and e_d the t^d coefficient of prod_j (1 + b_j t)^(x_j).  Over
     b = p/q with common denominator q, E_d = e_d q^d are the s^d coefficients
     of prod_j (1 + p_j s)^(x_j) (:func:`_affine_power`), and the value is
-    N/R[n] of :class:`_SeriesRows`, the kernel the two-trait estimator and
-    the scanner's lattice walk read as integers.
+    N/R[n] of :class:`_SeriesRows`.  Only the tests read it, as the one-point
+    form of the numerators :func:`_two_misclass_walk` reads from
+    :meth:`_SeriesRows.numerator`.
     """
     p, q = _integer_slopes(b)
     rows, n = _SeriesRows(c, k, (q,)), sum(x)
@@ -867,29 +868,3 @@ def simplex_excess_at_one_one_zero(c: int, k: int) -> Fraction:
     """
     est = unbiased_two((1, 1, 0), c, k)
     return est[0] + est[1] + est[2] - 1
-
-
-def estimator_callable(
-    estimator: EstimatorId,
-    c: int,
-    k: int,
-    *,
-    specificity: Number = 1,
-    sensitivity: Number = 1,
-    misclass: MisclassModel | None = None,
-    component: str | None = None,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch view of any estimator for expectation sums: one column of :func:`evaluate_table`.
-
-    The callable maps an (n, t) integer sample array to n floats.
-    `component` picks one of p00/p10/p01/p11 for the two-disease estimators
-    (or "p" / None for one disease).
-    """
-    if FAMILY[estimator] == "one":
-        idx = 0
-    elif component in TWO_COMPONENTS:
-        idx = TWO_COMPONENTS.index(component)
-    else:
-        raise ValueError(f"two-disease estimators need component in {sorted(TWO_COMPONENTS)}")
-    params = dict(specificity=specificity, sensitivity=sensitivity, misclass=misclass)
-    return lambda samples: evaluate_table(estimator, samples, c, k, **params)[0][:, idx]

@@ -11,6 +11,11 @@ plan "stop when the reference coordinate reaches c" with reference-class
 probability mu0 = 1 - sum(mu); its pmf over the tracked counts x is
 
     C(c + sum(x) - 1; c-1, x1, ..., xt) * mu0^c * prod(mu_i^x_i).
+
+Its total sum(x) is negative binomial NB(c, mu0), whose pmf
+:func:`negbin_terms` walks in Python: every one-dimensional verify sum reads
+those terms.  :func:`truncated_expectation` is the numpy reference lattice
+sum over :func:`imn_pmf`, which the tests check verify against.
 """
 
 from __future__ import annotations
@@ -215,26 +220,6 @@ def imn_pmf(x: Sequence[int] | np.ndarray, c: int, mu: Sequence[Number]) -> floa
     return float(pmf[0]) if counts.ndim == 1 else pmf
 
 
-def imn_pmf_row(c: int, theta: float, max_total: int) -> list[float]:
-    """P(X = y) under IMN_1(c, (theta,)) at y = 0, ..., max_total, with no numpy.
-
-    The t = 1 case of :func:`imn_pmf`, bit for bit: the same lgamma table and
-    the same float operations in the same order, so it equals imn_pmf over
-    the (max_total + 1, 1) array of y.
-    """
-    (theta,) = _check_mu((float(theta),))
-    if c < 1:
-        raise DomainError("c must be >= 1")
-    log_fact = [math.lgamma(m + 1) for m in range(c + max_total)]
-    lead = c * math.log(1 - theta)
-    log_p = [log_fact[c + y - 1] - log_fact[c - 1] + lead for y in range(max_total + 1)]
-    if theta == 0.0:
-        return [math.exp(log_p[0])] + [0.0] * max_total
-    # imn_pmf adds 0.0 at y = 0 where this adds 0 * log(theta) - lgamma(1) = -0.0: the same sum.
-    log_theta = math.log(theta)
-    return [math.exp(v + (y * log_theta - log_fact[y])) for y, v in enumerate(log_p)]
-
-
 def imn_pmf_exact(x: Sequence[int], c: int, mu: Sequence[Number]) -> Fraction:
     """Exact rational pmf for rational mu."""
     mu = _check_mu(mu)
@@ -437,12 +422,13 @@ class ExpectationResult:
     n_points: int
 
 
-def negbin_terms(c: int, mu0: float, q: float) -> Iterator[float]:
-    """NB(c, mu0) pmf at totals 0, 1, 2, ...: mu0^c, then term *= q (c + s) / (s + 1).
+def negbin_terms(c: int, mu0: float) -> Iterator[float]:
+    """NB(c, mu0) pmf at totals 0, 1, 2, ...: mu0^c, then term *= q (c + s) / (s + 1), q = 1 - mu0.
 
-    q is the tracked probability 1 - mu0, passed separately so that a caller
-    holding theta itself multiplies by theta and keeps its own rounding.
+    This is the pmf of the total of an IMN_t(c, mu) walk, mu0 = 1 - sum(mu),
+    and the t = 1 :func:`imn_pmf` in one multiplication per total.
     """
+    q = 1.0 - mu0
     term = mu0 ** c
     for s in itertools.count():
         yield term
@@ -460,7 +446,8 @@ def truncated_expectation(
 
     `estimator` is a batch estimator: it maps an (n, t) integer array of
     sample points to n floats (a constant broadcasts).  This is the reference
-    lattice sum and certifies nothing: tail bounds and verdicts are verify's.
+    lattice sum, which no mode runs, and certifies nothing: tail bounds and
+    verdicts are verify's.
     """
     import numpy as np
     mu = _check_mu(tuple(float(v) for v in mu))

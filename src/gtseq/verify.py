@@ -4,13 +4,15 @@ Each check sums estimator * pmf over all sample points up to a truncation
 total and compares against the true parameter.  Estimators that are provably
 bounded get a certified tail (bound times the stopping-class tail
 probability, which :func:`stopping_quantile` gives with the truncation total
-from one walk); the misclassified one-disease estimator is unbounded, so its
-check reports a partial sum with a term-decay diagnostic instead, a failed
-row where an estimate passes the float range.  Every certificate and pass
-verdict is computed here.  The one-disease checks walk the estimator tables'
-float rows against one pmf row in Python, with no lattice and no numpy;
-plans.truncated_expectation, the uncertified reference lattice sum, now
-serves verify_two's leading sum and the tests only.
+from one walk of the NB(c, mu0) pmf); the misclassified one-disease
+estimator is unbounded, so its check reports a partial sum with a term-decay
+diagnostic instead, and fails where an estimate passes the float range.
+Every certificate and pass verdict is computed here.  Each certified check
+walks the NB pmf once: the walk's terms are the pmf that every
+one-dimensional sum reads.  The one-disease checks read the estimator
+tables' float rows in Python, with no lattice and no numpy;
+plans.truncated_expectation, the reference lattice sum, serves the tests
+only.
 
 The two-disease sums exploit that each component of the estimator depends
 on at most two scalar summaries of the count vector, which collapses the
@@ -24,13 +26,16 @@ import math
 from dataclasses import dataclass
 
 from .estimators import (
-    TWO_COMPONENTS, EstimatorId, estimator_callable, unbiased_one_misclass_row, unbiased_one_row,
+    TWO_COMPONENTS, EstimatorId, evaluate_table, unbiased_one_misclass_row, unbiased_one_row,
 )
 # Not called since verify_one walks the one-pass row; perfbench/spans.py traces this name.
 from .estimators import unbiased_one_misclass  # noqa: F401
 from .errors import ModelError
 from .model import OneDiseaseModel, TwoDiseaseModel, observed_pos_prob, pool_cell_probs
-from .plans import imn_pmf, imn_pmf_row, negbin_terms, truncated_expectation
+from .plans import imn_pmf, negbin_terms
+# Not called since verify_two's leading sum reads the stopping walk's terms; perfbench/spans.py
+# traces this name.
+from .plans import truncated_expectation  # noqa: F401
 
 # Bounds certified by the product structure of the closed forms: the
 # perfect-test estimates lie in [0, 1]; each two-disease leading component
@@ -50,11 +55,14 @@ class VerifyRow:
     value: float
     tol: float
     tail_bound: float | None
-    certified: bool
     max_total: int
     decay_ratio: float | None = None
     tail_target: float | None = None  # the tail bound the truncation total aimed at
     capped: bool = False  # an uncertified sum stopped at its cap before its stopping rule held
+
+    @property
+    def certified(self) -> bool:
+        return self.tail_bound is not None
 
     @property
     def error(self) -> float:
@@ -69,19 +77,22 @@ class VerifyRow:
         return not self.capped and self.error <= self.tol and (self.decay_ratio or math.inf) < 1.0
 
 
-def stopping_quantile(c: int, mu0: float, tail_target: float, cap: int = 4000) -> tuple[int, float]:
-    """(N, tail) for a NB(c, mu0) total, from one walk of its terms.
+def stopping_quantile(
+    c: int, mu0: float, tail_target: float, cap: int = 4000
+) -> tuple[list[float], float]:
+    """(terms, tail) for a NB(c, mu0) total, from one walk of its pmf.
 
-    N is the smallest total, at most `cap`, with 1 - (running sum) <= tail_target; tail bounds
-    P(total > N) by 1 - fsum of the terms up to N, plus a 1e-12 slack for float rounding.
+    terms is the pmf at totals 0, ..., N, where N = len(terms) - 1 is the smallest total, at most
+    `cap`, with 1 - (running sum) <= tail_target; tail bounds P(total > N) by 1 - fsum(terms),
+    plus a 1e-12 slack for float rounding.
     """
-    terms = negbin_terms(c, mu0, 1.0 - mu0)
-    kept = [next(terms)]
-    acc = kept[0]
-    while 1.0 - acc > tail_target and len(kept) <= cap:
-        kept.append(next(terms))
-        acc += kept[-1]
-    return len(kept) - 1, max(0.0, 1.0 - math.fsum(kept)) + 1e-12
+    walk = negbin_terms(c, mu0)
+    terms = [next(walk)]
+    acc = terms[0]
+    while 1.0 - acc > tail_target and len(terms) <= cap:
+        terms.append(next(walk))
+        acc += terms[-1]
+    return terms, max(0.0, 1.0 - math.fsum(terms)) + 1e-12
 
 
 def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4000) -> VerifyRow:
@@ -92,10 +103,8 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
     if model.is_perfect_test:
         tol = 1e-8 if tol is None else tol
         aim = tol / (2 * ONE_PERFECT_BOUND)
-        max_total, tail = stopping_quantile(c, mu0, aim, cap)
-        # The truncated_expectation sum of UB_ONE_PERFECT over y <= max_total, term for term.
-        pmf = imn_pmf_row(c, theta, max_total)
-        value = math.fsum(est * mass for est, mass in zip(unbiased_one_row(c, k), pmf))
+        terms, tail = stopping_quantile(c, mu0, aim, cap)
+        value = math.fsum(est * term for est, term in zip(unbiased_one_row(c, k), terms))
         return VerifyRow(
             estimator=EstimatorId.UB_ONE_PERFECT.value,
             component="p",
@@ -103,11 +112,11 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
             value=value,
             tol=tol,
             tail_bound=ONE_PERFECT_BOUND * tail,
-            certified=True,
-            max_total=max_total,
+            max_total=len(terms) - 1,
             tail_target=ONE_PERFECT_BOUND * aim,
         )
-    # Unbounded estimator: adaptive partial sum with decay diagnostic.
+    # Unbounded estimator: adaptive partial sum with decay diagnostic.  An estimate past the
+    # float range ends the sum at its non-finite term, so the row fails at that y.
     tol = 1e-6 if tol is None else tol
     contributions = []
     decay = None
@@ -116,9 +125,11 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
     capped = False
     mean_total = c * theta / max(mu0, 1e-12)
     estimates = unbiased_one_misclass_row(c, k, model.specificity, model.sensitivity)
-    for y, pmf, est in zip(range(cap + 1), negbin_terms(c, mu0, theta), estimates):
+    for y, pmf, est in zip(range(cap + 1), negbin_terms(c, mu0), estimates):
         contrib = est * pmf
         contributions.append(contrib)
+        if not math.isfinite(est):
+            break
         magnitude = abs(contrib)
         if prev is not None and prev > 0 and magnitude > 0:
             decay = magnitude / prev
@@ -137,7 +148,6 @@ def verify_one(model: OneDiseaseModel, *, tol: float | None = None, cap: int = 4
         value=value,
         tol=tol,
         tail_bound=None,
-        certified=False,
         max_total=y,
         decay_ratio=decay,
         capped=capped,
@@ -163,25 +173,24 @@ def verify_two(
     cells = tuple(float(v) for v in pool_cell_probs(model))
     t10, t01, t11, mu0 = cells
     aim = tol / (2 * TWO_COMPONENT_BOUND)
-    n, tail = stopping_quantile(c, mu0, aim, cap)
+    terms, tail = stopping_quantile(c, mu0, aim, cap)
+    n = len(terms) - 1
 
-    p00 = estimator_callable(EstimatorId.UB_TWO_PERFECT, c, k, component="p00")
-    p10 = estimator_callable(EstimatorId.UB_TWO_PERFECT, c, k, component="p10")
-
-    # Leading component: depends on the total only, NB(c, mu0) sum.
-    leading = truncated_expectation(
-        lambda x: p00(np.pad(x, ((0, 0), (2, 0)))), c, (1.0 - mu0,), max_total=n
-    )
-    e00, mass = leading.value, leading.mass
-
-    # Cross components: (own count, sum of the other two) over the triangle own + rest <= n.
-    # p10 at (own, 0, rest) equals p01 at (0, own, rest), so one estimate serves both sums.
+    # One table over the points (own, 0, rest) of the triangle own + rest <= n.
     totals = np.arange(n + 1)
     pairs = np.column_stack(np.nonzero(np.add.outer(totals, totals) <= n))
-    cross = p10(np.insert(pairs, 1, 0, axis=1))
+    values = evaluate_table(EstimatorId.UB_TWO_PERFECT, np.insert(pairs, 1, 0, axis=1), c, k)[0]
 
+    # Leading component: depends on the total only, an NB(c, mu0) sum.  np.nonzero walks the
+    # triangle row by row, so its first n + 1 points are (0, 0, t) for t = 0, ..., n, and their
+    # p00 column is the leading estimate at total t.
+    e00 = math.fsum((values[: n + 1, 0] * terms).tolist())
+    mass = math.fsum(terms)
+
+    # Cross components: (own count, sum of the other two).  p10 at (own, 0, rest) equals p01 at
+    # (0, own, rest), so the p10 column serves both sums.
     def cross_expectation(own_prob: float, rest_prob: float) -> float:
-        return float(np.sum(cross * imn_pmf(pairs, c, (own_prob, rest_prob))))
+        return float(np.sum(values[:, 1] * imn_pmf(pairs, c, (own_prob, rest_prob))))
 
     e10 = cross_expectation(t10, t01 + t11)
     e01 = cross_expectation(t01, t10 + t11)
@@ -190,7 +199,7 @@ def verify_two(
     bounds = (TWO_COMPONENT_BOUND,) * 3 + (TWO_COMPLEMENT_BOUND,)
     checks = zip(TWO_COMPONENTS, model.prevalences(), (e00, e10, e01, e11), bounds)
     return [
-        VerifyRow("UB_TWO_PERFECT", name, float(truth), value, tol, bound * tail, True, n,
+        VerifyRow("UB_TWO_PERFECT", name, float(truth), value, tol, bound * tail, n,
                   tail_target=bound * aim)
         for name, truth, value, bound in checks
     ]

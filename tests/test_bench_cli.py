@@ -896,8 +896,8 @@ misclass = 0.98:0.95
 # configs are pinned in tests/test_estimators.py.
 SHIPPED_CSV_SHA256 = {
     "bench_default": "075a82c09ca225902471c247fa568df1d66fab082415ebf9520b0b70b777a28f",
-    "verify_default": "a9f383735a214e33097c235d9dc3d9929acb0749f92e5456763f1f2ac424f917",
-    "verify_two_default": "0218ac48b5e82345fb57169fc7f5d178a83c63baade43e2cf670f60b9e66f990",
+    "verify_default": "bb2499f2fceb759a3b211afae2c209beb54d456e8f659518c274abb5bf0215a5",
+    "verify_two_default": "88bc1a3c0861c55c53437b41622f80de405faf962e9149ddc9cba46dd420a2c3",
     "scan_improper": "45cca9926aa6bc057218c47ef7611a6a1c7d582e77a6ee60fbeb3a9c7f327475",
     "identify_grid": "ccc8ed53923eb308ccdd010cf75dbe27cb721b1f091676b2d4223bdeb032fd94",
     "estimate_two_misclass": "63b74f1c39cd9974dd4220d6ae5e7f0db0938007e2b659039e44f21027e6ace1",
@@ -1041,3 +1041,18 @@ def test_default_bench_script_rejects_negative_values(tmp_path, flag):
     assert f"argument {flag}: must be >= 0, got -1" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # perfbench/spans.py wraps gtseq names by getattr at run time, so a renamed or dropped
+    # import breaks only a traced benchmark run.  Its LAYERS table is read, not installed.
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pairs = [pair for targets in spans.LAYERS.values() for pair in targets]
+    missing = [(m, a) for m, a in pairs if not hasattr(importlib.import_module(m), a)]
+    assert pairs and not missing, missing

@@ -1,6 +1,5 @@
 """Plans: pmf vs enumeration, path counts vs brute force, walks, diagnostics."""
 
-import itertools
 import math
 from fractions import Fraction as F
 
@@ -9,7 +8,7 @@ import pytest
 
 from gtseq import plans
 from gtseq.errors import DomainError, PlanError, StepCapExceededError
-from gtseq.estimators import EstimatorId, estimator_callable
+from gtseq.estimators import EstimatorId
 from gtseq.plans import (
     ExplicitPlan,
     FixedTotalPlan,
@@ -20,10 +19,8 @@ from gtseq.plans import (
     imn_plan,
     imn_pmf,
     imn_pmf_exact,
-    imn_pmf_row,
     iter_counts,
     load_plan,
-    negbin_terms,
     path_count,
     save_plan,
     simulate,
@@ -32,6 +29,7 @@ from gtseq.plans import (
 )
 from gtseq.series import AffinePowerSpec, poly_representability
 from gtseq.verify import stopping_quantile
+from test_estimators import table_column
 
 
 def brute_force_paths(plan, point):
@@ -96,22 +94,6 @@ class TestPmf:
             assert isinstance(imn_pmf(points[-1], c, mu), float)
             exact = [float(imn_pmf_exact(x, c, mu)) for x in points]
             assert batch.tolist() == pytest.approx(exact, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("c", [1, 3, 20])
-    def test_one_class_row_equals_the_array_pmf_bitwise(self, c):
-        # The numpy-free t = 1 row verify_one sums: the same floats as imn_pmf, not close ones.
-        for theta in (0.0, 1e-6, 0.01, 0.3, 0.99):
-            for n in (0, 1, 60, 4000):
-                row = imn_pmf_row(c, theta, n)
-                batch = imn_pmf(np.arange(n + 1)[:, None], c, (theta,)).tolist()
-                assert [v.hex() for v in row] == [v.hex() for v in batch], (c, theta, n)
-
-    def test_one_class_row_domain_checks(self):
-        for theta in (1.0, 1.2, -0.1):
-            with pytest.raises(DomainError):
-                imn_pmf_row(1, theta, 3)
-        with pytest.raises(DomainError, match="c must be"):
-            imn_pmf_row(0, 0.2, 3)
 
     def test_batch_domain_checks(self):
         with pytest.raises(DomainError, match="does not match"):
@@ -319,16 +301,16 @@ class TestSimulate:
 
 class TestTruncatedExpectation:
     def test_constant_estimator_recovers_mass(self):
-        n, tail = stopping_quantile(2, 0.7, 1e-9)
-        result = truncated_expectation(lambda x: 1.0, 2, (0.3,), max_total=n)
+        terms, tail = stopping_quantile(2, 0.7, 1e-9)
+        result = truncated_expectation(lambda x: 1.0, 2, (0.3,), max_total=len(terms) - 1)
         assert result.value == result.mass
         assert result.mass + tail == pytest.approx(1.0, abs=1e-9)
 
     def test_unbiasedness_one_disease(self):
         # theta for p=0.1, k=2 perfect: 0.19
-        fn = estimator_callable(EstimatorId.UB_ONE_PERFECT, 3, 2)
-        n, tail = stopping_quantile(3, 0.81, 1e-8)
-        result = truncated_expectation(fn, 3, (0.19,), max_total=n)
+        fn = table_column(EstimatorId.UB_ONE_PERFECT, 3, 2)
+        terms, tail = stopping_quantile(3, 0.81, 1e-8)
+        result = truncated_expectation(fn, 3, (0.19,), max_total=len(terms) - 1)
         tail_bound = 1.0 * tail
         assert tail_bound <= 1e-8
         assert abs(result.value - 0.1) <= 1e-8 + tail_bound
@@ -339,10 +321,10 @@ class TestTruncatedExpectation:
         model = TwoDiseaseModel(0.1, 0.1, 0.05, 2, 3)
         cells = tuple(float(v) for v in pool_cell_probs(model))
         truths = dict(zip(("p00", "p10", "p01", "p11"), (float(v) for v in model.prevalences())))
-        n, tail = stopping_quantile(3, cells[3], 1e-6)
+        terms, tail = stopping_quantile(3, cells[3], 1e-6)
         for component, truth in truths.items():
-            fn = estimator_callable(EstimatorId.UB_TWO_PERFECT, 3, 2, component=component)
-            result = truncated_expectation(fn, 3, cells[:3], max_total=n)
+            fn = table_column(EstimatorId.UB_TWO_PERFECT, 3, 2, component)
+            result = truncated_expectation(fn, 3, cells[:3], max_total=len(terms) - 1)
             tail_bound = 4.0 * tail
             assert abs(result.value - truth) <= 1e-6 + tail_bound, component
 
@@ -352,7 +334,7 @@ class TestTruncatedExpectation:
 
         cells = (0.2, 0.15, 0.1)
         for idx, component in enumerate(("p00", "p10", "p01", "p11")):
-            fn = estimator_callable(EstimatorId.UB_TWO_PERFECT, 2, 3, component=component)
+            fn = table_column(EstimatorId.UB_TWO_PERFECT, 2, 3, component)
             result = truncated_expectation(fn, 2, cells, max_total=20)
             points = list(iter_counts(3, 20))
             oracle = math.fsum(
@@ -363,23 +345,14 @@ class TestTruncatedExpectation:
 
     def test_misclassified_partial_sum(self):
         # The unbounded estimator has no tail certificate; the plain sum still lands on p.
-        fn = estimator_callable(
-            EstimatorId.UB_ONE_MISCLASS, 2, 2, specificity=0.98, sensitivity=0.95
-        )
+        fn = table_column(EstimatorId.UB_ONE_MISCLASS, 2, 2, specificity=0.98, sensitivity=0.95)
         result = truncated_expectation(fn, 2, (0.1967,), max_total=70)
         assert result.value == pytest.approx(0.1, abs=1e-6)
 
-    def test_negbin_terms_take_the_ratio_base_as_given(self):
-        # theta and 1 - (1 - theta) differ in the last bit; each caller keeps its own.
-        theta = 0.1967
-        terms = list(itertools.islice(negbin_terms(2, 1.0 - theta, theta), 4))
-        assert terms[0] == (1.0 - theta) ** 2
-        assert terms[3] == terms[2] * (theta * 4 / 3)
-
     def test_stopping_tail_upper_bound(self):
         # exact tail for c=1: theta^(N+1)
-        n, tail = stopping_quantile(1, 0.7, 1e-5)
-        exact = 0.3 ** (n + 1)
+        terms, tail = stopping_quantile(1, 0.7, 1e-5)
+        exact = 0.3 ** len(terms)
         assert tail >= exact
         assert tail == pytest.approx(exact, abs=1e-11)
 
